@@ -7,7 +7,7 @@ closed class.  The rest of the package is kernels to run them on, exact
 enumeration oracles, and statistical diagnostics.
 """
 
-from .streams import StreamKey, uniform_at
+from .streams import StreamKey, keyed_uniforms, uniform_at
 from .kernels import (
     STAR,
     KernelContractViolation,
@@ -94,6 +94,7 @@ __all__ = [
     "concentration_bound",
     "exact_T0_tail",
     "find_nhat",
+    "keyed_uniforms",
     "make_autoregressive",
     "make_cyclic4",
     "make_flipflop",

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import STAR, KernelSpec, _scan, _scan_increment
-from .streams import StreamKey, uniform_at
+from .kernels import STAR, KernelContractViolation, KernelSpec, _scan, _scan_increment
+from .streams import StreamKey, keyed_uniforms
 
 
 class BetaZeroForAlgo1(Exception):
@@ -61,6 +61,17 @@ class StoppingRecord:
         return min(self.T[t] for t in range(m, n + 1))
 
 
+def threshold_violation(kernel, t, u, threshold) -> KernelContractViolation:
+    """The error for a still-unknown time whose uniform sits below its
+    chained threshold.  Every scan that leaves a time unknown returns a total its
+    uniform has cleared, so only a kernel mass that poisons the sums (NaN)
+    gets here; a raise, unlike an assert, still runs under ``python -O``."""
+    return KernelContractViolation(
+        f"{kernel.name}: uniform {u!r} at time {t} fell below its chained "
+        f"threshold {threshold!r}"
+    )
+
+
 def run_algorithm1(
     kernel: KernelSpec,
     k: int,
@@ -73,7 +84,8 @@ def run_algorithm1(
     Returns (symbols, record): symbols is the length-(k+1) list ordered
     oldest first, record the StoppingRecord over the target times.
     ``uniforms`` may override the keyed stream (callable time -> u in
-    [0,1)); the default reads ``uniform_at(key.at(t))``.
+    [0,1)); the default, ``keyed_uniforms(key)``, reads
+    ``uniform_at(key.at(t))``.
 
     Requires beta(empty) > 0: some letter must be producible with no
     context, else no round can ever succeed.
@@ -81,7 +93,7 @@ def run_algorithm1(
     if k < 0:
         raise ValueError("k >= 0 required")
     if uniforms is None:
-        uniforms = lambda t: uniform_at(key.at(t))
+        uniforms = keyed_uniforms(key)
     if kernel.beta(()) <= 0.0:
         raise BetaZeroForAlgo1(
             f"{kernel.name}: beta(empty) = {kernel.beta(())}; "
@@ -125,7 +137,8 @@ def run_algorithm1(
                 threshold_old = thr[m]
                 # a still-unknown time has, by construction, a uniform that
                 # already cleared every mass scanned for it so far
-                assert um >= threshold_old
+                if not um >= threshold_old:
+                    raise threshold_violation(kernel, m, um, threshold_old)
                 s2, acc = _scan_increment(kernel, um, w_new, w_old, threshold_old)
                 if s2 is STAR:
                     thr[m] = acc
@@ -153,7 +166,7 @@ def run_auxiliary_chain(kernel: KernelSpec, n: int, key: StreamKey, uniforms=Non
     if n < 0:
         raise ValueError("n >= 0 required")
     if uniforms is None:
-        uniforms = lambda t: uniform_at(key.at(t))
+        uniforms = keyed_uniforms(key)
     ys: list = []
     for j in range(n + 1):
         w = tuple(reversed(ys))
@@ -180,6 +193,7 @@ def run_joint_tableau(
     if kernel.beta(()) <= 0.0:
         raise BetaZeroForAlgo1(f"{kernel.name}: beta(empty) must be positive")
     letters = kernel.alphabet
+    uniforms = keyed_uniforms(key)
 
     vals: dict = {}
     thr: dict = {}
@@ -194,7 +208,7 @@ def run_joint_tableau(
                 f"no coalescence within {max_extra_rounds} rounds below {top}",
                 SimulationTableau(dict(vals), top - s, 0, top),
             )
-        u = uniform_at(key.at(s))
+        u = uniforms(s)
         sym, total = _scan(kernel, u, ())
         if sym is STAR:
             vals[s] = STAR
@@ -209,9 +223,10 @@ def run_joint_tableau(
         newly = [(s, sym)]
         still = []
         for t in unresolved:
-            ut = uniform_at(key.at(t))
+            ut = uniforms(t)
             acc = thr[t]
-            assert ut >= acc
+            if not ut >= acc:
+                raise threshold_violation(kernel, t, ut, acc)
             hit = None
             for g in letters:
                 d = 0.0

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .backward import MaxRoundsExceeded, SimulationTableau, StoppingRecord
+from .backward import (
+    MaxRoundsExceeded,
+    SimulationTableau,
+    StoppingRecord,
+    threshold_violation,
+)
 from .kernels import (
     STAR,
     TOL,
@@ -35,7 +40,7 @@ from .kernels import (
     _scan,
     _scan_increment,
 )
-from .streams import StreamKey, uniform_at
+from .streams import StreamKey, keyed_uniforms
 
 
 class AssumptionViolated(Exception):
@@ -319,14 +324,25 @@ def run_algorithm2(
     which is behaviourally identical to sweeping every window each round
     (the skipped ones are no-ops) but keeps long runs (k in the tens of
     thousands) close to linear.
+
+    When the kernel publishes a float-exact memory horizon H
+    (``closed_forms["exact_horizon"]``: letters at lags >= H change no
+    alpha bit, only which paths are feasible), the phase-2 contexts read
+    from the tableau stop at the first known letter at or past position
+    H-1, which screens off everything older; the output is bit-identical
+    and a context costs O(H) instead of O(depth).  That screening needs
+    the tableau's letters to lie on an admissible path, so every written
+    letter is checked against its known neighbours.
     """
     if k < 0:
         raise ValueError("k >= 0 required")
     if plan is None:
         plan = prepare_coalescence(kernel, nhat_max, n0_max)
     if uniforms is None:
-        uniforms = lambda t, pid: uniform_at(key.at(t, pid))
+        uniforms = keyed_uniforms(key)
     nhat, n0 = plan.nhat, plan.n0
+    horizon = kernel.closed_forms.get("exact_horizon")
+    admissible = kernel.admissible_window
     C = plan.analysis.states
     idx = plan.index
     pids = tuple(idx[a] for a in C)
@@ -424,6 +440,15 @@ def run_algorithm2(
                             inq.add(z)
 
     def _set_letter(t, sym, tt):
+        newer = temp.get(t + 1, STAR)
+        older = temp.get(t - 1, STAR)
+        if (newer is not STAR and not admissible((newer, sym))) or (
+            older is not STAR and not admissible((sym, older))
+        ):
+            raise KernelContractViolation(
+                f"{kernel.name}: letter {sym!r} at time {t} makes an "
+                f"inadmissible pair with its neighbours ({newer!r}, {older!r})"
+            )
         if t in temp:
             journal.setdefault(t, temp[t])
         temp[t] = sym
@@ -443,6 +468,17 @@ def run_algorithm2(
     def _prevval(j):
         v = journal.get(j)
         return v if v is not None else temp.get(j, STAR)
+
+    def _context(t, stop, get):
+        # letters at times t-1 down to stop, newest first; with a horizon,
+        # positions 0..H-1 and then on to the first known letter only
+        cut = stop if horizon is None else max(stop, t - horizon)
+        out = [get(j) for j in range(t - 1, cut - 1, -1)]
+        j = cut - 1
+        while j >= stop and out[-1] is STAR:
+            out.append(get(j))
+            j -= 1
+        return tuple(out)
 
     n = 0
     while True:
@@ -512,9 +548,10 @@ def run_algorithm2(
                     )
                 else:
                     base = thr[t]
-                    w_old = tuple(_prevval(j) for j in range(t - 1, l(n - 1) - 1, -1))
-                assert u >= base
-                w_new = tuple(temp[j] for j in range(t - 1, lo - 1, -1))
+                    w_old = _context(t, l(n - 1), _prevval)
+                if not u >= base:
+                    raise threshold_violation(kernel, t, u, base)
+                w_new = _context(t, lo, temp.__getitem__)
                 sym, acc = _scan_increment(kernel, u, w_new, w_old, base)
                 if sym is STAR:
                     thr[t] = acc

@@ -29,17 +29,34 @@ class ThetaWeights:
     s: Callable[[int], float]
     support: Optional[int]  # largest j with theta_j > 0; None = infinite
     label: str
+    # smallest n with s(n) < eps, for eps > 0; s is non-increasing, so every
+    # later tail sum and every theta_j with j >= n is below eps too.  None
+    # for families whose tail falls below a float's resolution too late to
+    # be of use (polynomial).
+    tail_below: Optional[Callable[[float], int]] = None
 
 
 def theta_geometric(q: float) -> ThetaWeights:
     """theta_j = (1-q) q^j; s(n) = q^n."""
     if not 0.0 < q < 1.0:
         raise ValueError("need 0 < q < 1")
+
+    def tail_below(eps):
+        # start just under log(eps)/log(q), then settle on the exact float
+        # answer (q**n is non-increasing in n)
+        n = max(0, int(math.log(eps) / math.log(q)) - 2)
+        while q**n >= eps:
+            n += 1
+        while n > 0 and q ** (n - 1) < eps:
+            n -= 1
+        return n
+
     return ThetaWeights(
         theta=lambda j: (1.0 - q) * q**j,
         s=lambda n: q**n,
         support=None,
         label=f"geometric:{q}",
+        tail_below=tail_below,
     )
 
 
@@ -71,11 +88,18 @@ def theta_list(values) -> ThetaWeights:
     for j in range(len(vals) - 1, -1, -1):
         sfx[j] = vals[j] + sfx[j + 1]
 
+    def tail_below(eps):
+        n = len(vals)  # sfx[len(vals)] == 0.0
+        while n > 0 and sfx[n - 1] < eps:
+            n -= 1
+        return n
+
     return ThetaWeights(
         theta=lambda j: vals[j] if 0 <= j < len(vals) else 0.0,
         s=lambda n: sfx[n] if 0 <= n < len(sfx) else (sfx[0] if n < 0 else 0.0),
         support=len(vals) - 1,
         label="list:" + ",".join(repr(v) for v in vals),
+        tail_below=tail_below,
     )
 
 
@@ -387,75 +411,112 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
 # nearest-neighbour walks: the 4-cycle and general finite graphs
 
 
-def _walk_alpha(closed_nbhd: dict, theta: ThetaWeights, g, w: Window) -> float:
-    """Adversarial alpha for a nearest-neighbour walk kernel.
+def _walk_alpha(closed_nbhd: dict, theta: ThetaWeights):
+    """Adversarial alpha(g, w) for a nearest-neighbour walk kernel.
 
     For last letter v the one-step law is
     p(g|x) = 1{g in E(v)} (theta_0/|E(v)| + sum_j theta_j 1{x_{-j} in S}),
     with stay set S = (V \\ E(v)) ∪ {v} when g = v and S = {g} otherwise
-    (E = closed neighbourhood).  Stars walk the graph adversarially: a
-    min-cost path DP over window positions, then the cheapest escape from
-    the stay set for the unseen tail.  All candidate path costs fold
-    base + theta in ascending lag order, so minima refine monotonically.
+    (E = closed neighbourhood).  A fully known window is one path, so its
+    alpha is the fold along it; stars walk the graph adversarially, a
+    min-cost path DP over window positions.  Either way the unseen tail
+    then escapes the stay set as cheaply as it can.  All candidate path
+    costs fold base + theta in ascending lag order, so minima refine
+    monotonically.  Each move's base, stay set and escape distances are
+    fixed when the kernel is built.
     """
-    w = canon(w)
-    if not w:
-        return 0.0
     verts = sorted(closed_nbhd)
-    n = len(w)
-    first = w[0]
-    branches = [first] if first is not STAR else verts
-    best = None
-    for v in branches:
-        if g not in closed_nbhd[v]:
-            # only an actual admissible history can push the mass to 0
-            if _path_feasible(closed_nbhd, v, w):
-                best = 0.0
-                break
-            continue
-        if g == v:
-            stay = (set(verts) - closed_nbhd[v]) | {v}
-        else:
-            stay = {g}
-        base = theta.theta(0) / len(closed_nbhd[v])
+    every = set(verts)
+    th, s = theta.theta, theta.s
+    moves = {}  # (v, g) with g in E(v) -> (base, stay set, escape distances)
+    for v in verts:
+        for g in closed_nbhd[v]:
+            stay = (every - closed_nbhd[v]) | {v} if g == v else {g}
+            outside = every - stay
+            dist = _bfs_dist(closed_nbhd, outside) if outside else None
+            moves[v, g] = (th(0) / len(closed_nbhd[v]), stay, dist)
 
-        # DP over window positions: cost[u] = cheapest fold ending at vertex u
-        cost = {v: base + theta.theta(1) if v in stay else base}
-        for j in range(1, n):
-            nxt = {}
-            allowed = verts if w[j] is STAR else [w[j]]
-            for u, cu in cost.items():
-                for u2 in allowed:
-                    if u2 not in closed_nbhd[u]:
-                        continue
-                    c2 = cu + theta.theta(j + 1) if u2 in stay else cu
-                    if u2 not in nxt or c2 < nxt[u2]:
-                        nxt[u2] = c2
-            cost = nxt
-            if not cost:
-                break
-        if not cost:
-            continue  # known letters cannot lie on a path for this branch
-
+    def escape(cu, u, n, dist):
         # escape tail: keep paying theta while stuck inside the stay set
-        outside = set(verts) - stay
-        val = None
-        if not outside:
-            for u, cu in cost.items():
-                cv = cu + theta.s(n + 1)
-                if val is None or cv < val:
-                    val = cv
-        else:
-            dist = _bfs_dist(closed_nbhd, outside)
-            for u, cu in cost.items():
-                cv = cu
-                for j in range(n + 1, n + dist[u]):
-                    cv += theta.theta(j)
-                if val is None or cv < val:
-                    val = cv
-        if best is None or val < best:
-            best = val
-    return 0.0 if best is None else best
+        if dist is None:
+            return cu + s(n + 1)
+        for j in range(n + 1, n + dist[u]):
+            cu += th(j)
+        return cu
+
+    def alpha(g, w: Window) -> float:
+        w = canon(w)
+        if not w or g not in closed_nbhd:
+            return 0.0
+        n = len(w)
+        if STAR not in w:
+            for i in range(n - 1):
+                if w[i + 1] not in closed_nbhd[w[i]]:
+                    return 0.0  # no admissible history matches: empty infimum
+            move = moves.get((w[0], g))
+            if move is None:
+                return 0.0
+            acc, stay, dist = move
+            for j in range(n):
+                if w[j] in stay:
+                    acc += th(j + 1)
+            return escape(acc, w[-1], n, dist)
+
+        best = None
+        for v in verts if w[0] is STAR else (w[0],):
+            move = moves.get((v, g))
+            if move is None:
+                # only an actual admissible history can push the mass to 0
+                if _path_feasible(closed_nbhd, v, w):
+                    best = 0.0
+                    break
+                continue
+            base, stay, dist = move
+            # DP over window positions: cost[u] = cheapest fold ending at u
+            cost = {v: base + th(1) if v in stay else base}
+            for j in range(1, n):
+                nxt = {}
+                allowed = verts if w[j] is STAR else (w[j],)
+                tj = th(j + 1)
+                for u, cu in cost.items():
+                    for u2 in allowed:
+                        if u2 not in closed_nbhd[u]:
+                            continue
+                        c2 = cu + tj if u2 in stay else cu
+                        if u2 not in nxt or c2 < nxt[u2]:
+                            nxt[u2] = c2
+                cost = nxt
+                if not cost:
+                    break
+            if not cost:
+                continue  # known letters cannot lie on a path for this branch
+            val = min(escape(cu, u, n, dist) for u, cu in cost.items())
+            if best is None or val < best:
+                best = val
+        return 0.0 if best is None else best
+
+    return alpha
+
+
+def _walk_horizon(closed_nbhd: dict, theta: ThetaWeights) -> Optional[int]:
+    """Float-exact memory horizon H of a walk kernel; None without one.
+
+    Every walk cost (fold, DP entry, escape) starts at a base
+    theta_0/|E(v)| >= b_min = theta_0 / max_v |E(v)| and only adds to it.
+    Under round-to-nearest, c + x == c whenever c >= b_min and
+    0 <= x < ulp(b_min)/2, because ulp(c) >= ulp(b_min).  H is the
+    smallest n with s(n) < ulp(b_min)/2, so every theta_j with j >= H (and
+    the tail s(m), m > H, that a one-vertex graph's escape adds) leaves
+    each cost it meets unchanged to the bit.  Window position j carries
+    theta_{j+1}; letters at positions >= H-1 therefore act on alpha only
+    through which paths are feasible, and a known letter there screens
+    off everything older when the window has an admissible completion:
+    alpha(g, w) == alpha(g, w[:j+1]) for the first such known position j.
+    """
+    if theta.tail_below is None:
+        return None
+    b_min = theta.theta(0) / max(len(e) for e in closed_nbhd.values())
+    return theta.tail_below(math.ulp(b_min) / 2)
 
 
 def _path_feasible(closed_nbhd: dict, v, w: Window) -> bool:
@@ -490,50 +551,45 @@ def _bfs_dist(closed_nbhd: dict, targets: set) -> dict:
     return dist
 
 
+def _walk_kernel(
+    name: str, parameters: dict, closed_nbhd: dict, theta: ThetaWeights, **forms
+) -> KernelSpec:
+    """KernelSpec of the walk with closed neighbourhoods ``closed_nbhd``.
+
+    Publishes the float-exact memory horizon as
+    ``closed_forms["exact_horizon"]`` (see :func:`_walk_horizon`); the
+    coupled sampler cuts the contexts it builds there.
+    """
+
+    def admissible(w: Window) -> bool:
+        w = canon(w)
+        return all(w[i + 1] in closed_nbhd[w[i]] for i in range(len(w) - 1))
+
+    return KernelSpec(
+        name=name,
+        parameters=parameters,
+        alphabet=tuple(sorted(closed_nbhd)),
+        alpha=_walk_alpha(closed_nbhd, theta),
+        admissible_window=admissible,
+        closed_forms={
+            "s": theta.s,
+            "theta": theta.theta,
+            "exact_horizon": _walk_horizon(closed_nbhd, theta),
+            **forms,
+        },
+    )
+
+
 def make_cyclic4(theta: ThetaWeights) -> KernelSpec:
     """Nearest-neighbour walk on Z/4 that relives its past positions.
 
     From last letter v the walk stays or moves to v±1 (mod 4), never to
     the antipode; each remembered lag j adds theta_j to the move it
-    favours.  Fully-known windows use the direct formula; starred windows
-    fall back to the path DP with the mod-4 neighbourhoods.
+    favours.  The same law as :func:`make_graph_walk` on cycle:4, plus
+    the closed forms only the 4-cycle has.
     """
     verts = (0, 1, 2, 3)
     nbhd = {v: {(v - 1) % 4, v, (v + 1) % 4} for v in verts}
-
-    def alpha(g, w: Window) -> float:
-        w = canon(w)
-        if g not in verts or not w:
-            return 0.0
-        if all(x is not STAR for x in w):
-            v = w[0]
-            if any(w[i + 1] not in nbhd[w[i]] for i in range(len(w) - 1)):
-                return 0.0  # no admissible history matches: empty infimum
-            if g not in nbhd[v]:
-                return 0.0
-            if g == v:
-                stay = {v, (v + 2) % 4}
-            else:
-                stay = {g}
-            acc = theta.theta(0) / 3.0
-            for j in range(len(w)):
-                if w[j] in stay:
-                    acc += theta.theta(j + 1)
-            # escape tail: antipode of the stay pair is one step away when
-            # staying (distance 1 -> free); copying a neighbour likewise
-            u = w[-1]
-            n = len(w)
-            d = 0 if u not in stay else (1 if (nbhd[u] - stay) else 2)
-            for j in range(n + 1, n + d):
-                acc += theta.theta(j)
-            return acc
-        return _walk_alpha(nbhd, theta, g, w)
-
-    def admissible(w: Window) -> bool:
-        w = canon(w)
-        return all(
-            w[i + 1] in nbhd[w[i]] for i in range(len(w) - 1)
-        )
 
     def rho_tilde_claimed(n):
         # Closed-class mass 4 * prod_{j=2..n+1} (1 - s_j), for any theta with
@@ -553,18 +609,13 @@ def make_cyclic4(theta: ThetaWeights) -> KernelSpec:
     def beta_known(n):
         return math.fsum(theta.theta(j) for j in range(n + 1))
 
-    return KernelSpec(
-        name="cyclic4",
-        parameters={"theta": theta.label},
-        alphabet=verts,
-        alpha=alpha,
-        admissible_window=admissible,
-        closed_forms={
-            "s": theta.s,
-            "theta": theta.theta,
-            "beta_known_prefix": beta_known,
-            "rho_tilde_claimed": rho_tilde_claimed,
-        },
+    return _walk_kernel(
+        "cyclic4",
+        {"theta": theta.label},
+        nbhd,
+        theta,
+        beta_known_prefix=beta_known,
+        rho_tilde_claimed=rho_tilde_claimed,
     )
 
 
@@ -594,23 +645,8 @@ def make_graph_walk(adjacency: dict, theta: ThetaWeights) -> KernelSpec:
                 stack.append(u)
     if len(seen) != len(verts):
         raise ValueError("graph must be connected")
-
-    def alpha(g, w: Window) -> float:
-        if g not in closed:
-            return 0.0
-        return _walk_alpha(closed, theta, g, w)
-
-    def admissible(w: Window) -> bool:
-        w = canon(w)
-        return all(w[i + 1] in closed[w[i]] for i in range(len(w) - 1))
-
-    return KernelSpec(
-        name="graph-walk",
-        parameters={"vertices": verts, "theta": theta.label},
-        alphabet=verts,
-        alpha=alpha,
-        admissible_window=admissible,
-        closed_forms={"s": theta.s, "theta": theta.theta},
+    return _walk_kernel(
+        "graph-walk", {"vertices": verts, "theta": theta.label}, closed, theta
     )
 
 

@@ -10,6 +10,7 @@ on query order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 _MASK64 = (1 << 64) - 1
@@ -42,6 +43,20 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _stream_prefix(seed: int, replication: int) -> int:
+    """Hash state after absorbing the (seed, replication) fields of a key."""
+    h = _mix64((seed & _MASK64) + _GAMMA)
+    return _mix64(h ^ ((replication & _MASK64) + _GAMMA))
+
+
+def _uniform_finish(prefix: int, time: int, past_id: Optional[int] = None) -> float:
+    """Absorb (time, past_id) into a :func:`_stream_prefix` state; see uniform_at."""
+    h = _mix64(prefix ^ ((time & _MASK64) + _GAMMA))
+    pid = 0 if past_id is None else past_id + 1
+    h = _mix64(h ^ ((pid & _MASK64) + _GAMMA))
+    return (h >> 11) * 2.0**-53
+
+
 def uniform_at(key: StreamKey) -> float:
     """Uniform in [0, 1) with 53 bits of precision, pure in ``key``.
 
@@ -49,10 +64,13 @@ def uniform_at(key: StreamKey) -> float:
     keys (adjacent times, adjacent replications) decorrelate.  Negative
     times enter via their two's-complement 64-bit image.
     """
-    h = key.seed & _MASK64
-    h = _mix64(h + _GAMMA)
-    h = _mix64(h ^ ((key.replication & _MASK64) + _GAMMA))
-    h = _mix64(h ^ ((key.time & _MASK64) + _GAMMA))
-    pid = 0 if key.past_id is None else key.past_id + 1
-    h = _mix64(h ^ ((pid & _MASK64) + _GAMMA))
-    return (h >> 11) * 2.0**-53
+    return _uniform_finish(
+        _stream_prefix(key.seed, key.replication), key.time, key.past_id
+    )
+
+
+def keyed_uniforms(key: StreamKey):
+    """The samplers' default stream: ``u(time, past_id=None)``, equal to
+    ``uniform_at(key.at(time, past_id))`` with the (seed, replication)
+    prefix hashed once instead of on every call."""
+    return partial(_uniform_finish, _stream_prefix(key.seed, key.replication))

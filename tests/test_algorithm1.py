@@ -1,8 +1,14 @@
 """Spontaneous-symbol backward sampler: exact traces, contracts, and laws."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import perfectsim
 
 from perfectsim.backward import (
     BetaZeroForAlgo1,
@@ -63,7 +69,7 @@ def test_memoryless_weights_always_resolve_in_round_zero():
     # all weight at lag 0 makes beta(w) = 1: the spontaneous draw at the
     # target always lands on a letter and no earlier round is ever probed
     mem = make_autoregressive(theta_list([1.0]), 0.3)
-    assert mem.beta(()) == pytest.approx(1.0, abs=1e-15)
+    assert mem.beta(()) == pytest.approx(1.0, rel=0, abs=1e-15)
     for rep in range(200):
         key = StreamKey(seed=31, replication=rep)
         syms, rec = run_algorithm1(mem, 0, key)
@@ -97,6 +103,77 @@ def test_round_budget_exhaustion_reports_the_partial_tableau():
     assert tab.target_lo == 0 and tab.target_hi == 0
     assert set(tab.temp) == set(range(-17, 1))
     assert all(v is STAR for v in tab.temp.values())
+
+
+_NAN_KERNELS = textwrap.dedent(
+    """
+    import dataclasses
+    from perfectsim import StreamKey, run_algorithm1, run_algorithm2
+    from perfectsim.backward import MaxRoundsExceeded, run_joint_tableau
+    from perfectsim.gallery import make_cyclic4, theta_geometric
+    from perfectsim.kernels import KernelContractViolation, KernelSpec, canon
+
+    assert not __debug__
+    nan = float("nan")
+    # context-free masses are fine, every mass that needs a context is NaN,
+    # which slips past the [0, 1] range check and poisons the thresholds
+    spont = KernelSpec(
+        name="nan-context",
+        parameters={},
+        alphabet=(0, 1),
+        alpha=lambda g, w: 0.1 if not canon(w) else nan,
+        closed_forms={"additive_weight": lambda g, lag, v: nan},
+    )
+    cy = make_cyclic4(theta_geometric(0.5))
+    coupled = dataclasses.replace(
+        cy, alpha=lambda g, w: nan if len(canon(w)) > 3 else cy.alpha(g, w)
+    )
+    runs = {
+        "run_algorithm1": lambda r: run_algorithm1(
+            spont, 0, StreamKey(1, r), max_rounds=300
+        ),
+        "run_joint_tableau": lambda r: run_joint_tableau(
+            spont, 0, StreamKey(1, r), max_extra_rounds=300
+        ),
+        "run_algorithm2": lambda r: run_algorithm2(
+            coupled, 0, StreamKey(1, r), max_rounds=500
+        ),
+    }
+    for name, run in runs.items():
+        for r in range(20):
+            try:
+                run(r)
+            except KernelContractViolation as e:
+                print(name, "tripped:", e)
+                break
+            except MaxRoundsExceeded:
+                continue
+        else:
+            print(name, "never tripped")
+    """
+)
+
+
+def test_threshold_checks_run_under_python_O():
+    # the chained-threshold checks of all three samplers are raises, not
+    # asserts, so a broken kernel is still caught with assertions stripped
+    src = os.path.dirname(os.path.dirname(perfectsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NAN_KERNELS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "run_algorithm1",
+        "run_joint_tableau",
+        "run_algorithm2",
+    ], out.stdout
+    assert all("tripped:" in line and "threshold nan" in line for line in lines)
 
 
 def test_replay_is_bit_identical_and_replications_are_separate():

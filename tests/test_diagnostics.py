@@ -50,8 +50,8 @@ def test_tail_at_zero_is_the_leftover_mass():
 
 def test_tail_hand_values():
     au = _autoreg()
-    assert exact_T0_tail(au, 1) == pytest.approx(0.375, abs=1e-15)
-    assert exact_T0_tail(au, 2) == pytest.approx(0.28125, abs=1e-15)
+    assert exact_T0_tail(au, 1) == pytest.approx(0.375, rel=0, abs=1e-15)
+    assert exact_T0_tail(au, 2) == pytest.approx(0.28125, rel=0, abs=1e-15)
 
 
 def test_tail_is_decreasing_and_positive():
@@ -67,7 +67,7 @@ def test_tail_recursion_matches_star_string_enumeration():
     assert "star_affine" not in enum.closed_forms
     for n in range(7):
         assert exact_T0_tail(au, n) == pytest.approx(
-            exact_T0_tail(enum, n), abs=1e-12
+            exact_T0_tail(enum, n), rel=0, abs=1e-12
         )
 
 
@@ -89,7 +89,7 @@ def test_letter_string_mass_matches_the_closed_product():
         prod = 1.0
         for j in range(1, n + 1):
             prod *= 1.0 - s(j)
-        assert rho_exact(au, n) == pytest.approx(prod, abs=1e-12)
+        assert rho_exact(au, n) == pytest.approx(prod, rel=0, abs=1e-12)
 
 
 def test_closed_class_mass_matches_the_verified_product():
@@ -138,9 +138,9 @@ def test_condition_report_for_the_matching_kernel():
     prod = 1.0
     for j in range(1, 13):
         prod *= 1.0 - 0.5**j
-    assert rep.c_hat == pytest.approx(prod, abs=1e-12)
-    assert rep.c_hat == pytest.approx(0.2888586114696384, abs=1e-9)
-    assert rep.bound_expected_t0 == pytest.approx((1 - prod) / prod, abs=1e-9)
+    assert rep.c_hat == pytest.approx(prod, rel=0, abs=1e-12)
+    assert rep.c_hat == pytest.approx(0.2888586114696384, rel=0, abs=1e-9)
+    assert rep.bound_expected_t0 == pytest.approx((1 - prod) / prod, rel=0, abs=1e-9)
     assert rep.raabe_epsilon == 0.5  # max over n of n * 0.5^n beyond 1 is 0.5
     assert rep.notes[0] == "necessary-condition evidence, not proof"
 
@@ -173,7 +173,7 @@ def test_condition_report_for_a_kernel_with_no_route():
 def test_concentration_bound_hand_value_and_clamp():
     # exponent -2 * 1 / (9 * 1 * (1/9)) = -2
     val = concentration_bound(1.0, 1.0 / 3.0, 0.0)
-    assert val == pytest.approx(4.0 * math.exp(-2.0), abs=1e-15)
+    assert val == pytest.approx(4.0 * math.exp(-2.0), rel=0, abs=1e-15)
     assert concentration_bound(1e-6, 10.0, 5.0) == 1.0  # clamped
     with pytest.raises(ValueError):
         concentration_bound(0.0, 1.0, 1.0)
@@ -236,7 +236,7 @@ def test_renewal_report_smoke_values():
     assert all(g >= 1 for g in rep.gaps_first + rep.gaps_second)
     assert not rep.low_counts
     assert rep.halves_agree_3se is True
-    assert rep.z_gap_means == pytest.approx(-0.33646036656818534, abs=1e-9)
+    assert rep.z_gap_means == pytest.approx(-0.33646036656818534, rel=0, abs=1e-9)
     assert rep.chi2_dof == 6
     assert rep.truncation_bias == exact_T0_tail(au, 12)
 

@@ -1,10 +1,13 @@
 """Gallery kernels against hand-derived values and cross-model identities."""
 
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
+from perfectsim.coalescence import run_algorithm2
 from perfectsim.gallery import (
     GALLERY,
     build_kernel,
@@ -24,13 +27,14 @@ from perfectsim.gallery import (
     uniform_lookback,
 )
 from perfectsim.kernels import STAR, validate_kernel
+from perfectsim.streams import StreamKey
 
 A12 = pytest.approx
 TOL = 1e-12
 
 
 def ap(x):
-    return pytest.approx(x, abs=TOL)
+    return pytest.approx(x, rel=0, abs=TOL)
 
 
 # ------------------------------------------------------------ weight families
@@ -178,8 +182,8 @@ def test_cycle_walk_known_history_masses_partition():
     cy = make_cyclic4(theta_geometric(0.5))
     w = (0, 1, 2, 3) * 10
     total = sum(cy.alpha(g, w) for g in range(4))
-    assert total == pytest.approx(1.0, abs=1e-9)
-    assert cy.beta(w) == pytest.approx(total, abs=TOL)
+    assert total == pytest.approx(1.0, rel=0, abs=1e-9)
+    assert cy.beta(w) == pytest.approx(total, rel=0, abs=TOL)
 
 
 def test_cycle_walk_agrees_with_generic_graph_walk():
@@ -193,6 +197,123 @@ def test_cycle_walk_agrees_with_generic_graph_walk():
         for w in itertools.product(sym, repeat=length):
             for g in range(4):
                 assert cy.alpha(g, w) == ap(gw.alpha(g, w))
+
+
+def test_known_window_fold_matches_the_path_dp():
+    # on the path 0-1-2-3-4 the letter between a and a+2 is forced, so a
+    # window starred there has one completion, and the path DP must land
+    # on the fully known window's fold to the bit (escapes of length 2
+    # and 3 occur on this graph)
+    for label in ("geometric:0.5", "list:0.4,0.3,0.2,0.1"):
+        gw = build_kernel("graph-walk", {"graph": "path:5", "theta": label})
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(300):
+            w = [rng.randrange(5)]
+            for _ in range(rng.randrange(2, 12)):
+                w.append(rng.choice([u for u in range(5) if abs(u - w[-1]) <= 1]))
+            for i in range(1, len(w) - 1):
+                if abs(w[i - 1] - w[i + 1]) == 2:
+                    starred = tuple(w[:i]) + (STAR,) + tuple(w[i + 1 :])
+                    for g in range(5):
+                        assert gw.alpha(g, starred) == gw.alpha(g, tuple(w))
+                    checked += 1
+        assert checked > 100
+
+
+# ------------------------------------------------------ float-exact horizon
+
+
+def _cut(w, horizon):
+    """w up to its first known letter at or past position horizon - 1."""
+    for j in range(horizon - 1, len(w)):
+        if w[j] is not STAR:
+            return w[: j + 1]
+    return w
+
+
+@pytest.mark.parametrize(
+    "label,expected",
+    [
+        ("geometric:0.1", 17),
+        ("geometric:0.4", 43),
+        ("geometric:0.5", 57),
+        ("geometric:0.8", 178),
+        ("list:0.5,0.3,0.2", 3),
+    ],
+)
+def test_walk_horizon_bounds_every_later_weight(label, expected):
+    kernels = [
+        (make_cyclic4(parse_theta(label)), 3),
+        (build_kernel("graph-walk", {"graph": "complete:5", "theta": label}), 5),
+        (build_kernel("graph-walk", {"graph": "single", "theta": label}), 1),
+    ]
+    assert kernels[0][0].closed_forms["exact_horizon"] == expected
+    for kern, max_degree in kernels:
+        H = kern.closed_forms["exact_horizon"]
+        theta, s = kern.closed_forms["theta"], kern.closed_forms["s"]
+        b_min = theta(0) / max_degree
+        half = math.ulp(b_min) / 2
+        # smallest n whose whole tail is below half an ulp of the least cost
+        assert s(H) < half <= s(H - 1)
+        assert all(theta(i) < half for i in range(H, H + 2000))
+        for c in (b_min, 2 * b_min, 0.5, 1.0 - 1e-9):
+            assert c + theta(H) == c and c + s(H) == c
+
+
+def test_walk_horizon_is_absent_for_polynomial_weights():
+    for kern in (
+        build_kernel("cyclic4", {"theta": "polynomial:0.3"}),
+        build_kernel("graph-walk", {"theta": "polynomial:0.3"}),
+    ):
+        assert kern.closed_forms["exact_horizon"] is None
+
+
+@pytest.mark.parametrize(
+    "name,params,rep",
+    [
+        ("cyclic4", {"theta": "geometric:0.4"}, 4),
+        ("cyclic4", {"theta": "geometric:0.1"}, 7),
+        ("graph-walk", {"graph": "cycle:5", "theta": "list:0.5,0.3,0.2"}, 0),
+    ],
+)
+def test_alpha_ignores_letters_past_the_horizon_cut(name, params, rep):
+    # realized windows: the long contexts an uncut coupled run builds from
+    # its tableau, and copies of them with letters starred at random and
+    # around the horizon; their known letters all lie on the sampled path
+    kern = build_kernel(name, params)
+    H = kern.closed_forms["exact_horizon"]
+    seen = []
+
+    def alpha(g, w):
+        if len(w) > H:
+            seen.append(w)
+        return kern.alpha(g, w)
+
+    forms = {k: v for k, v in kern.closed_forms.items() if k != "exact_horizon"}
+    uncut = dataclasses.replace(kern, alpha=alpha, closed_forms=forms)
+    run_algorithm2(uncut, 0, StreamKey(1, rep))
+    rng = random.Random(rep)
+    windows = []
+    for w in seen[:: max(1, len(seen) // 60)]:
+        windows.append(w)
+        hole = range(max(0, H - 3), min(len(w) - 1, H + 3))
+        windows.append(
+            tuple(
+                STAR if j in hole or rng.random() < 0.3 else x
+                for j, x in enumerate(w)
+            )
+        )
+    starred = starfree = 0
+    for w in windows:
+        c = _cut(w, H)
+        if len(c) == len(w):
+            continue
+        for g in kern.alphabet:
+            assert kern.alpha(g, w) == kern.alpha(g, c), (w, g)
+        starred += STAR in w
+        starfree += STAR not in w
+    assert starred >= 20 and starfree >= 20, (starred, starfree)
 
 
 def test_graph_walk_rejects_bad_graphs():

@@ -94,7 +94,7 @@ def test_trailing_stars_never_change_the_scan():
     au = _autoreg()
     for w in ((), (1,), (0, 1)):
         padded = w + (STAR, STAR)
-        assert au.beta(padded) == pytest.approx(au.beta(w), abs=1e-15)
+        assert au.beta(padded) == pytest.approx(au.beta(w), rel=0, abs=1e-15)
         for u in (0.1, 0.45, 0.8):
             assert sample_symbol(au, u, padded) == sample_symbol(au, u, w)
 
@@ -107,7 +107,7 @@ def test_increment_scan_zero_increment_matches_direct_scan():
     # refined partition coincides with the direct scan of the new window.
     au = _autoreg()
     base = au.beta((STAR,))
-    assert base == pytest.approx(0.5, abs=1e-15)
+    assert base == pytest.approx(0.5, rel=0, abs=1e-15)
     for u in [0.5 + i * (0.5 / 400.0) for i in range(400)]:
         two_stage = sample_symbol_increment(au, u, (1,), (STAR,), base)
         assert two_stage == sample_symbol(au, u, (1,))
@@ -133,9 +133,9 @@ def test_increment_scan_preserves_letter_measure_under_reshuffling():
     au = _autoreg()
     w_old, w_new = (STAR, STAR, 1), (0, 1, 1)
     base = au.beta(w_old)
-    assert base == pytest.approx(0.5625, abs=1e-12)
-    assert au.alpha(0, w_new) == pytest.approx(0.4, abs=1e-12)
-    assert au.alpha(1, w_new) == pytest.approx(0.5375, abs=1e-12)
+    assert base == pytest.approx(0.5625, rel=0, abs=1e-12)
+    assert au.alpha(0, w_new) == pytest.approx(0.4, rel=0, abs=1e-12)
+    assert au.alpha(1, w_new) == pytest.approx(0.5375, rel=0, abs=1e-12)
 
     # a witness u where the two partitions disagree letter-wise
     assert sample_symbol(au, 0.6, w_new) == 1
@@ -237,6 +237,6 @@ def test_validator_requires_at_least_one_trial():
 
 
 def test_leftover_star_mass():
-    assert alpha_star(_toy(), ()) == pytest.approx(0.5, abs=1e-15)
+    assert alpha_star(_toy(), ()) == pytest.approx(0.5, rel=0, abs=1e-15)
     overfull = KernelSpec("x", {}, ("a", "b"), lambda g, w: 0.7)
     assert alpha_star(overfull, ()) == 0.0  # clamped at zero

@@ -1,5 +1,6 @@
 """Order-n skeleton analysis and the coupled backward sampler."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -26,7 +27,7 @@ from perfectsim.gallery import (
     make_three_letter_alternating,
     theta_geometric,
 )
-from perfectsim.kernels import STAR, KernelSpec
+from perfectsim.kernels import STAR, KernelContractViolation, KernelSpec
 from perfectsim.streams import StreamKey
 
 from reference_impl import run_algorithm2_ref
@@ -52,9 +53,9 @@ def test_order_one_analysis_of_the_matching_kernel():
     ana = build_markov_analysis(_autoreg(), 1)
     assert ana.order == 1
     assert ana.states == ((0,), (1,))
-    assert ana.beta_n == pytest.approx(0.75, abs=1e-12)
-    assert ana.matrix[(1,)][1] == pytest.approx(0.8, abs=1e-12)
-    assert ana.matrix[(1,)][0] == pytest.approx(0.2, abs=1e-12)
+    assert ana.beta_n == pytest.approx(0.75, rel=0, abs=1e-12)
+    assert ana.matrix[(1,)][1] == pytest.approx(0.8, rel=0, abs=1e-12)
+    assert ana.matrix[(1,)][0] == pytest.approx(0.2, rel=0, abs=1e-12)
     assert len(ana.closed_classes) == 1
     assert ana.period == 1
     assert ana.nhat_found
@@ -73,7 +74,7 @@ def test_transition_rows_are_probability_vectors(kernel, orders):
     for n in orders:
         ana = build_markov_analysis(kernel, n)
         for w in ana.states:
-            assert sum(ana.matrix[w].values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(ana.matrix[w].values()) == pytest.approx(1.0, rel=0, abs=1e-12)
             assert all(p >= 0.0 for p in ana.matrix[w].values())
 
 
@@ -260,8 +261,9 @@ def _fingerprint(n, snap):
         ("graph-walk", {"graph": "complete:3"}, (0, 1, 2, 5), range(8)),
         ("graph-walk", {"graph": "complete:4"}, (0, 1), range(4)),
         ("cyclic4", {}, (0, 1), range(2)),
+        ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6)),
     ],
-    ids=["complete3", "complete4", "cycle4"],
+    ids=["complete3", "complete4", "cycle4", "cycle4-past-horizon"],
 )
 def test_event_driven_sampler_matches_the_direct_sweep(name, params, ks, seeds):
     kern = build_kernel(name, params)
@@ -284,6 +286,40 @@ def test_event_driven_sampler_matches_the_direct_sweep(name, params, ks, seeds):
                 seed,
             )
             assert tr_new == tr_ref, (name, k, seed)
+
+
+def test_horizon_cut_matches_the_uncut_run():
+    # the same kernel without its published horizon builds every context
+    # back to the oldest window; both runs must agree to the bit
+    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    assert kern.closed_forms["exact_horizon"] == 43
+    forms = {k: v for k, v in kern.closed_forms.items() if k != "exact_horizon"}
+    uncut = dataclasses.replace(kern, closed_forms=forms)
+    for rep, rounds in ((4, 1042), (14, 952)):
+        key = StreamKey(seed=1, replication=rep)
+        runs = []
+        for kk in (kern, uncut):
+            tr = []
+            xs, rec = run_algorithm2(
+                kk, 0, key, trace=lambda n, s: tr.append(_fingerprint(n, s))
+            )
+            runs.append((xs, rec.T, rec.rounds_used, rec.uniforms_consumed, tr))
+        assert runs[0] == runs[1], rep
+        assert runs[0][2] == rounds  # uncut contexts reach ~2 000 letters
+
+
+def test_realized_pair_check_trips_on_a_doctored_kernel():
+    # an admissibility predicate that forbids a step the walk really takes
+    # (staying put at 0): the sampler must refuse the letter that forms it
+    kern = make_cyclic4(theta_geometric(0.5))
+    doctored = dataclasses.replace(
+        kern,
+        admissible_window=lambda w: kern.admissible_window(w)
+        and all(w[i : i + 2] != (0, 0) for i in range(len(w) - 1)),
+    )
+    with pytest.raises(KernelContractViolation, match="inadmissible pair"):
+        for rep in range(50):
+            run_algorithm2(doctored, 5, StreamKey(seed=3, replication=rep))
 
 
 def test_budget_exhaustion_matches_the_direct_sweep():

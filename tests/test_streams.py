@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from perfectsim.streams import StreamKey, uniform_at
+from perfectsim.streams import StreamKey, keyed_uniforms, uniform_at
 
 ints = st.integers(min_value=-(2**62), max_value=2**62)
 pids = st.one_of(st.none(), st.integers(min_value=0, max_value=2**32))
@@ -74,6 +74,19 @@ def test_frozen_reference_values():
     assert uniform_at(StreamKey(7, 0, -11, None)) == 0.855163504574167
     assert uniform_at(StreamKey(7, 0, -11, 0)) == 0.4664355801268727
     assert uniform_at(StreamKey(-5, -2, 9, 1)) == 0.21296781326838965
+
+
+def test_per_run_stream_equals_the_keyed_uniforms():
+    # the samplers' default stream hashes (seed, replication) once per run;
+    # every value must still be uniform_at of the full key
+    for seed, rep in ((0, 0), (2026, 7), (-5, -2), (2**63 + 11, 3)):
+        key = StreamKey(seed, rep)
+        u = keyed_uniforms(key)
+        for t in range(-300, 1, 7):
+            assert u(t) == uniform_at(key.at(t))
+            for pid in range(6):
+                assert u(t, pid) == uniform_at(key.at(t, pid))
+    assert keyed_uniforms(StreamKey(2026, 7))(-3, 4) == 0.5182760286422454
 
 
 def test_empirical_moments_across_replications():
