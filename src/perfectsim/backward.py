@@ -1,9 +1,9 @@
 """Backward perfect sampler driven by spontaneous symbols.
 
-Round n opens the tableau at time -n: the time's uniform either produces
-a letter from the context-free masses (a spontaneous symbol) or the round
-fails.  After a success the update cascades forward through the still
-unknown times, each one re-reading its original uniform against the mass
+Round n opens the tableau n steps below the newest target (at time -n
+for targets -k..0): the time's uniform either produces a letter from the
+context-free masses (a spontaneous symbol) or the round fails.  After a
+success the update cascades forward through the still unknown times, each one re-reading its original uniform against the mass
 that the newly revealed letters added.  A letter, once written, is final;
 repeating rounds deeper into the past eventually fills the whole target
 window, and the result is an exact draw from the stationary law.
@@ -13,6 +13,11 @@ its uniform has already cleared, so a later round only stacks the fresh
 increments on top.  This is exactly equivalent to recomputing the whole
 cumulative sum (the increments telescope) but keeps the float comparisons
 identical across rounds.
+
+``run_algorithm1`` and ``run_joint_tableau`` run this one pass
+(``_backward``) and differ only in the increment step: the first re-scans
+alpha over the refined window, the second folds an additive kernel's
+per-lag weights of the newly revealed letters.
 """
 
 from __future__ import annotations
@@ -72,6 +77,71 @@ def threshold_violation(kernel, t, u, threshold) -> KernelContractViolation:
     )
 
 
+def _backward(kernel, lo, hi, uniforms, max_rounds, step):
+    """The round loop both spontaneous-symbol samplers share.
+
+    Round r opens time hi - r.  A spontaneous letter there re-reads every
+    still-unknown newer time, oldest first, through ``step(temp, t, u,
+    threshold, newly)``: the scan of the mass this round's letters added,
+    stacked on t's chained threshold, returning (symbol, new threshold).
+    ``newly`` lists this round's (time, letter) pairs so far, oldest first.
+    Returns (temp, T, rounds, uniforms consumed) once lo..hi are all known.
+    """
+    if kernel.beta(()) <= 0.0:
+        raise BetaZeroForAlgo1(
+            f"{kernel.name}: beta(empty) = {kernel.beta(())}; "
+            "the spontaneous-symbol route needs it positive"
+        )
+    temp: dict = {}
+    thr: dict = {}
+    us: dict = {}  # each time's uniform, read once when its round opens
+    T: dict = {}
+    unresolved: list = []  # ascending still-unknown times
+    pending = hi - lo + 1
+
+    r = 0
+    while True:
+        if r > max_rounds:
+            raise MaxRoundsExceeded(
+                f"no coalescence within {max_rounds} rounds",
+                SimulationTableau(dict(temp), r - 1, lo, hi),
+            )
+        s = hi - r
+        us[s] = uniforms(s)
+        sym, total = _scan(kernel, us[s], ())
+        if sym is STAR:
+            # failed round: the deeper star adds no information, but the
+            # uniform at s is burned
+            temp[s] = STAR
+            thr[s] = total
+            unresolved.insert(0, s)
+        else:
+            temp[s] = sym
+            T[s] = s
+            pending -= s >= lo
+            newly = [(s, sym)]
+            still = []
+            for t in unresolved:
+                u = us[t]
+                threshold = thr[t]
+                # a still-unknown time has, by construction, a uniform that
+                # already cleared every mass scanned for it so far
+                if not u >= threshold:
+                    raise threshold_violation(kernel, t, u, threshold)
+                g, thr[t] = step(temp, t, u, threshold, newly)
+                if g is STAR:
+                    still.append(t)
+                else:
+                    temp[t] = g
+                    T[t] = s
+                    pending -= t >= lo
+                    newly.append((t, g))
+            unresolved = still
+        if not pending:
+            return temp, T, r, len(us)
+        r += 1
+
+
 def run_algorithm1(
     kernel: KernelSpec,
     k: int,
@@ -94,65 +164,23 @@ def run_algorithm1(
         raise ValueError("k >= 0 required")
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-    if kernel.beta(()) <= 0.0:
-        raise BetaZeroForAlgo1(
-            f"{kernel.name}: beta(empty) = {kernel.beta(())}; "
-            "the spontaneous-symbol route needs it positive"
-        )
 
-    temp: dict = {}
-    thr: dict = {}
-    ucache: dict = {}
-    T: dict = {}
+    def step(temp, t, u, threshold, newly):
+        # the window back to the round start, against the start-of-round
+        # view of it: the same window with this round's letters starred
+        w_new = [temp[j] for j in range(t - 1, newly[0][0] - 1, -1)]
+        w_old = list(w_new)
+        for j, _ in newly:
+            w_old[t - 1 - j] = STAR
+        return _scan_increment(kernel, u, w_new, w_old, threshold)
 
-    def _u(t):
-        if t not in ucache:
-            ucache[t] = uniforms(t)
-        return ucache[t]
-
-    n = 0
-    while True:
-        if n > max_rounds:
-            raise MaxRoundsExceeded(
-                f"no coalescence within {max_rounds} rounds",
-                SimulationTableau(dict(temp), n - 1, -k, 0),
-            )
-        t0 = -n
-        prev = dict(temp)  # values of the previous round's tableau
-        sym, total = _scan(kernel, _u(t0), ())
-        if sym is STAR:
-            # failed round: everything copies over (the deeper star adds no
-            # information), but the uniform at -n is burned
-            temp[t0] = STAR
-            thr[t0] = total
-        else:
-            temp[t0] = sym
-            T[t0] = t0
-            for m in range(t0 + 1, 1):
-                if temp[m] is not STAR:
-                    continue
-                w_new = tuple(temp[j] for j in range(m - 1, t0 - 1, -1))
-                w_old = tuple(prev[j] for j in range(m - 1, t0, -1))
-                um = _u(m)
-                threshold_old = thr[m]
-                # a still-unknown time has, by construction, a uniform that
-                # already cleared every mass scanned for it so far
-                if not um >= threshold_old:
-                    raise threshold_violation(kernel, m, um, threshold_old)
-                s2, acc = _scan_increment(kernel, um, w_new, w_old, threshold_old)
-                if s2 is STAR:
-                    thr[m] = acc
-                else:
-                    temp[m] = s2
-                    T[m] = t0
-        if all(temp.get(t, STAR) is not STAR for t in range(-k, 1)):
-            record = StoppingRecord(
-                T={t: T[t] for t in range(-k, 1)},
-                rounds_used=n,
-                uniforms_consumed=len(ucache),
-            )
-            return [temp[t] for t in range(-k, 1)], record
-        n += 1
+    temp, T, rounds, consumed = _backward(kernel, -k, 0, uniforms, max_rounds, step)
+    record = StoppingRecord(
+        T={t: T[t] for t in range(-k, 1)},
+        rounds_used=rounds,
+        uniforms_consumed=consumed,
+    )
+    return [temp[t] for t in range(-k, 1)], record
 
 
 def run_auxiliary_chain(kernel: KernelSpec, n: int, key: StreamKey, uniforms=None):
@@ -184,67 +212,26 @@ def run_joint_tableau(
     an additive kernel: closed_forms["additive_weight"](g, lag, letter)
     must give alpha's exact per-position contribution, so each round can
     stack only the mass the newly revealed letters added instead of
-    re-evaluating whole windows.  Same nested-interval construction as
-    run_algorithm1, hence the same per-time stopping law.
+    re-evaluating whole windows.  The round loop is run_algorithm1's,
+    with this fold as its increment step, hence the same per-time stopping
+    law; a ``MaxRoundsExceeded`` tableau counts rounds below ``top``.
     """
     weight = kernel.closed_forms.get("additive_weight")
     if weight is None:
         raise ValueError(f"{kernel.name} exposes no additive_weight hook")
-    if kernel.beta(()) <= 0.0:
-        raise BetaZeroForAlgo1(f"{kernel.name}: beta(empty) must be positive")
     letters = kernel.alphabet
-    uniforms = keyed_uniforms(key)
 
-    vals: dict = {}
-    thr: dict = {}
-    T: dict = {}
-    unresolved: list = []  # ascending still-star times
-    pending_targets = top + 1
+    def step(temp, t, u, acc, newly):
+        for g in letters:
+            d = 0.0
+            for src, v in reversed(newly):  # ascending lag order
+                d += weight(g, t - src, v)
+            acc += d
+            if u < acc:
+                return g, acc
+        return STAR, acc
 
-    s = top
-    while pending_targets:
-        if s < top - max_extra_rounds:
-            raise MaxRoundsExceeded(
-                f"no coalescence within {max_extra_rounds} rounds below {top}",
-                SimulationTableau(dict(vals), top - s, 0, top),
-            )
-        u = uniforms(s)
-        sym, total = _scan(kernel, u, ())
-        if sym is STAR:
-            vals[s] = STAR
-            thr[s] = total
-            unresolved.insert(0, s)
-            s -= 1
-            continue
-        vals[s] = sym
-        T[s] = s
-        if s >= 0:
-            pending_targets -= 1
-        newly = [(s, sym)]
-        still = []
-        for t in unresolved:
-            ut = uniforms(t)
-            acc = thr[t]
-            if not ut >= acc:
-                raise threshold_violation(kernel, t, ut, acc)
-            hit = None
-            for g in letters:
-                d = 0.0
-                for src, v in reversed(newly):  # ascending lag order
-                    d += weight(g, t - src, v)
-                acc += d
-                if ut < acc:
-                    hit = g
-                    break
-            if hit is None:
-                thr[t] = acc
-                still.append(t)
-            else:
-                vals[t] = hit
-                T[t] = s
-                if t >= 0:
-                    pending_targets -= 1
-                newly.append((t, hit))
-        unresolved = still
-        s -= 1
+    vals, T, _, _ = _backward(
+        kernel, 0, top, keyed_uniforms(key), max_extra_rounds, step
+    )
     return vals, T

@@ -33,6 +33,36 @@ def _letters(kernel: KernelSpec, truncation: Optional[int]):
     return tuple(range(1, truncation + 1))
 
 
+def _string_mass(kernel: KernelSpec, n: int, letters, bases=((),), star=False):
+    """Sum over the strings a of length n grown on top of each base window
+    of alpha(a_-n | base) alpha(a_-(n-1) | a_-n base) ... — each factor's
+    context is the string built so far, newest first, with the base as its
+    oldest part.  With ``star`` the unknown symbol is a letter too, of mass
+    1 - beta(context), and each full string is weighted by its own escape
+    mass: the chance that the auxiliary chain is still unknown at step n.
+    Only positive-mass branches are visited, in depth-first order.
+    """
+    total = 0.0
+
+    def rec(ctx, depth, prob):
+        nonlocal total
+        if depth == n:
+            total += prob * max(0.0, 1.0 - kernel.beta(ctx)) if star else prob
+            return
+        if star:
+            escape = 1.0 - kernel.beta(ctx)
+            if escape > 0.0:
+                rec((STAR,) + ctx, depth + 1, prob * escape)
+        for g in letters:
+            a = kernel.alpha(g, ctx)
+            if a > 0.0:
+                rec((g,) + ctx, depth + 1, prob * a)
+
+    for base in bases:
+        rec(base, 0, 1.0)
+    return total
+
+
 def rho_exact(
     kernel: KernelSpec, n: int, truncation: Optional[int] = None, budget: int = 4_000_000
 ) -> float:
@@ -47,22 +77,7 @@ def rho_exact(
     letters = _letters(kernel, truncation)
     if len(letters) ** n > budget:
         raise ExplosionGuard(f"{len(letters)}^{n} letter strings exceed {budget}")
-
-    total = 0.0
-
-    def rec(ys, prob):
-        nonlocal total
-        if len(ys) == n:
-            total += prob
-            return
-        ctx = tuple(reversed(ys))
-        for g in letters:
-            a = kernel.alpha(g, ctx)
-            if a > 0.0:
-                rec(ys + [g], prob * a)
-
-    rec([], 1.0)
-    return total
+    return _string_mass(kernel, n, letters)
 
 
 def rho_tilde_exact(
@@ -93,50 +108,7 @@ def rho_tilde_exact(
         raise ExplosionGuard(
             f"{len(targets)} x {len(letters)}^{n} strings exceed {budget}"
         )
-
-    total = 0.0
-
-    def rec(ys, base, prob):
-        nonlocal total
-        if len(ys) == n:
-            total += prob
-            return
-        ctx = tuple(reversed(ys)) + base
-        for g in letters:
-            a = kernel.alpha(g, ctx)
-            if a > 0.0:
-                rec(ys + [g], base, prob * a)
-
-    for x in targets:
-        rec([], x, 1.0)
-    return total
-
-
-def _tail_enumerate(
-    kernel: KernelSpec, n: int, truncation: Optional[int], budget: int
-) -> float:
-    letters = _letters(kernel, truncation)
-    if (len(letters) + 1) ** n > budget:
-        raise ExplosionGuard(f"({len(letters)}+1)^{n} star strings exceed {budget}")
-
-    total = 0.0
-
-    def rec(ys, prob):
-        nonlocal total
-        ctx = tuple(reversed(ys))
-        if len(ys) == n:
-            total += prob * max(0.0, 1.0 - kernel.beta(ctx))
-            return
-        escape = 1.0 - kernel.beta(ctx)
-        if escape > 0.0:
-            rec(ys + [STAR], prob * escape)
-        for g in letters:
-            a = kernel.alpha(g, ctx)
-            if a > 0.0:
-                rec(ys + [g], prob * a)
-
-    rec([], 1.0)
-    return total
+    return _string_mass(kernel, n, letters, bases=targets)
 
 
 def exact_T0_tail(
@@ -164,9 +136,10 @@ def exact_T0_tail(
                 acc += theta(j) * p[m - j]
             p.append(acc)
         return p[n]
-    if n == 0:
-        return max(0.0, 1.0 - kernel.beta(()))
-    return _tail_enumerate(kernel, n, truncation, budget)
+    letters = _letters(kernel, truncation)
+    if (len(letters) + 1) ** n > budget:
+        raise ExplosionGuard(f"({len(letters)}+1)^{n} star strings exceed {budget}")
+    return _string_mass(kernel, n, letters, star=True)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from perfectsim.backward import (
     MaxRoundsExceeded,
     run_algorithm1,
     run_auxiliary_chain,
+    run_joint_tableau,
 )
 from perfectsim.gallery import (
     flipflop_r,
@@ -23,9 +24,10 @@ from perfectsim.gallery import (
     make_three_letter_alternating,
     theta_geometric,
     theta_list,
+    theta_polynomial,
 )
 from perfectsim.kernels import STAR, sample_symbol
-from perfectsim.streams import StreamKey, uniform_at
+from perfectsim.streams import StreamKey, keyed_uniforms, uniform_at
 
 
 def _autoreg():
@@ -103,6 +105,47 @@ def test_round_budget_exhaustion_reports_the_partial_tableau():
     assert tab.target_lo == 0 and tab.target_hi == 0
     assert set(tab.temp) == set(range(-17, 1))
     assert all(v is STAR for v in tab.temp.values())
+
+
+def test_joint_tableau_budget_counts_rounds_like_algorithm1():
+    # context-free mass theta_0 = 1e-9: every round's spontaneous scan
+    # fails, so the targets 0..5 stay open through rounds 0..17, which
+    # open times 5 down to -12, the same count as run_algorithm1's 17
+    au = make_autoregressive(theta_list([1e-9, 1 - 1e-9]), 0.3)
+    with pytest.raises(MaxRoundsExceeded) as exc:
+        run_joint_tableau(au, 5, StreamKey(0), max_extra_rounds=17)
+    tab = exc.value.tableau
+    assert tab.round == 17
+    assert tab.target_lo == 0 and tab.target_hi == 5
+    assert set(tab.temp) == set(range(-12, 6))
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        theta_geometric(0.5),
+        theta_geometric(0.8),
+        theta_list([0.5, 0.3, 0.2]),
+        theta_polynomial(0.3),
+    ],
+    ids=lambda th: th.label,
+)
+def test_joint_tableau_matches_algorithm1_on_the_same_uniforms(theta):
+    # the joint tableau's additive-weight fold and algorithm 1's generic
+    # increment scan are two steps of one round loop: targets 0..k read
+    # the same uniforms as algorithm 1's -k..0 shifted up by k, so letters
+    # and stopping times agree exactly
+    au = make_autoregressive(theta, 0.3)
+    for k in (0, 3, 20):
+        for rep in range(100):
+            key = StreamKey(seed=31, replication=rep)
+            ku = keyed_uniforms(key)
+            vals, T = run_joint_tableau(au, k, key)
+            syms, rec = run_algorithm1(au, k, key, uniforms=lambda t: ku(t + k))
+            assert [vals[t] for t in range(k + 1)] == syms, (k, rep)
+            assert [T[t] for t in range(k + 1)] == [
+                rec.T[t - k] + k for t in range(k + 1)
+            ], (k, rep)
 
 
 _NAN_KERNELS = textwrap.dedent(

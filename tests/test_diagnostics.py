@@ -22,6 +22,7 @@ from perfectsim.gallery import (
     make_autoregressive,
     make_cyclic4,
     make_flipflop,
+    make_imitation,
     theta_geometric,
     theta_list,
     theta_polynomial,
@@ -77,6 +78,25 @@ def test_tail_input_validation_and_budget():
         exact_T0_tail(au, -1)
     with pytest.raises(ExplosionGuard):
         exact_T0_tail(_no_closed_form_tail(au), 30, budget=10)
+
+
+def test_countable_alphabet_enumeration_hand_values():
+    # imitation with c = (0.3, 0.2) has no finite alphabet, so both oracles
+    # enumerate letters 1..50 and visit only those of positive mass.
+    # alpha(g | ()) = c_g, so beta(()) = 0.5.  With x_-1 = m known the
+    # chain copies the last m letters with weight 1 - 0.5 = 0.5:
+    #   alpha(1 | (1,)) = 0.3 + 0.5, alpha(2 | (1,)) = 0.2: beta((1,)) = 1;
+    #   alpha(1 | (2,)) = 0.3, alpha(2 | (2,)) = 0.2 + 0.5 / 2: beta((2,)) = 0.75.
+    # Tail: P_0 = 1 - 0.5; P_1 = 0.5 (1 - beta((*,))) + 0.3 (1 - 1)
+    # + 0.2 (1 - 0.75) = 0.25 + 0.05, since (*,) reads as ().
+    # Letter strings: rho_1 = beta(()); rho_2 = 0.3 beta((1,)) + 0.2 beta((2,))
+    # = 0.3 * 1 + 0.2 * 0.75.
+    im = make_imitation((0.3, 0.2))
+    assert im.alphabet is None
+    assert abs(exact_T0_tail(im, 0) - 0.5) <= 1e-12
+    assert abs(exact_T0_tail(im, 1) - 0.3) <= 1e-12
+    assert abs(rho_exact(im, 1) - 0.5) <= 1e-12
+    assert abs(rho_exact(im, 2) - 0.45) <= 1e-12
 
 
 # ----------------------------------------------------- letter-string masses
