@@ -15,16 +15,17 @@ cumulative sum (the increments telescope) but keeps the float comparisons
 identical across rounds.
 
 ``run_algorithm1`` and ``run_joint_tableau`` run this one pass
-(``_backward``) and differ only in the increment step: the first re-scans
-alpha over the refined window, the second folds an additive kernel's
-per-lag weights of the newly revealed letters.
+(``_backward``) and differ only in the increment step: the first scans
+alpha over the refined window against the masses kept from each time's
+last scan, the second folds an additive kernel's per-lag weights of the
+newly revealed letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import STAR, KernelContractViolation, KernelSpec, _scan, _scan_increment
+from .kernels import STAR, TOL, KernelContractViolation, KernelSpec, _scan
 from .streams import StreamKey, keyed_uniforms
 
 
@@ -142,6 +143,63 @@ def _backward(kernel, lo, hi, uniforms, max_rounds, step):
         r += 1
 
 
+def _cached_increment(kernel):
+    """run_algorithm1's increment step, with each open time's last scan kept.
+
+    A still-unknown time t re-reads its uniform against the window back
+    to the round start, stacked on the start-of-round view of it: the same
+    window with this round's letters starred.  Up to trailing stars that
+    view is exactly the window t scanned at its previous step, or the
+    empty window if t has not been scanned since it opened: the cascade
+    runs oldest first, and the failed rounds in between only add stars
+    older than t's last window.  So the step keeps, per open time, that
+    window and its alpha masses, and evaluates alpha on the new window
+    only.  Letter order, increments, the "decreased" raise, the clamp and
+    the early return are ``_scan_increment``'s, on the same alpha values,
+    so thresholds and symbols agree with it to the bit.
+    """
+    letters = kernel.alphabet
+    alpha = kernel.alpha
+    empty = ((), {})  # the empty window's masses, shared and filled on demand
+    cache: dict = {}  # open time -> (window of its last scan, masses by letter)
+
+    def step(temp, t, u, threshold, newly):
+        # the oldest entry is this round's spontaneous letter, so the window
+        # carries no trailing star.  tuple(list), not tuple(iterator): a
+        # tuple grown from an iterator is resized, and freed ones pile up in
+        # the interpreter's free lists (+3.6 MB peak over 1 000 deep runs)
+        w_new = tuple([temp[j] for j in range(t - 1, newly[0][0] - 1, -1)])
+        w_old, old = cache.pop(t, empty)
+        if letters is None:
+            scan = sorted(
+                set(kernel.positive_letters(w_new)) | set(kernel.positive_letters(w_old))
+            )
+        else:
+            scan = letters
+        new = {}
+        acc = threshold
+        for g in scan:
+            a = new[g] = alpha(g, w_new)
+            b = old.get(g)
+            if b is None:  # a letter the last scan did not reach
+                b = old[g] = alpha(g, w_old)
+            d = a - b
+            if d < -TOL:
+                raise KernelContractViolation(
+                    f"{kernel.name}: alpha({g!r}|·) decreased by {-d} when the "
+                    f"window was refined from {w_old!r} to {w_new!r}"
+                )
+            if d < 0.0:
+                d = 0.0
+            acc += d
+            if u < acc:
+                return g, acc
+        cache[t] = (w_new, new)
+        return STAR, acc
+
+    return step
+
+
 def run_algorithm1(
     kernel: KernelSpec,
     k: int,
@@ -164,17 +222,9 @@ def run_algorithm1(
         raise ValueError("k >= 0 required")
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-
-    def step(temp, t, u, threshold, newly):
-        # the window back to the round start, against the start-of-round
-        # view of it: the same window with this round's letters starred
-        w_new = [temp[j] for j in range(t - 1, newly[0][0] - 1, -1)]
-        w_old = list(w_new)
-        for j, _ in newly:
-            w_old[t - 1 - j] = STAR
-        return _scan_increment(kernel, u, w_new, w_old, threshold)
-
-    temp, T, rounds, consumed = _backward(kernel, -k, 0, uniforms, max_rounds, step)
+    temp, T, rounds, consumed = _backward(
+        kernel, -k, 0, uniforms, max_rounds, _cached_increment(kernel)
+    )
     record = StoppingRecord(
         T={t: T[t] for t in range(-k, 1)},
         rounds_used=rounds,

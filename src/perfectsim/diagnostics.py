@@ -22,7 +22,7 @@ from .streams import StreamKey
 
 
 class ExplosionGuard(Exception):
-    """An enumeration would visit more leaves than the budget allows."""
+    """An enumeration would cost more than the budget allows."""
 
 
 def _letters(kernel: KernelSpec, truncation: Optional[int]):
@@ -33,19 +33,33 @@ def _letters(kernel: KernelSpec, truncation: Optional[int]):
     return tuple(range(1, truncation + 1))
 
 
-def _string_mass(kernel: KernelSpec, n: int, letters, bases=((),), star=False):
+def _string_mass(
+    kernel: KernelSpec, n: int, letters, bases=((),), star=False, max_nodes=None
+):
     """Sum over the strings a of length n grown on top of each base window
     of alpha(a_-n | base) alpha(a_-(n-1) | a_-n base) ... — each factor's
     context is the string built so far, newest first, with the base as its
     oldest part.  With ``star`` the unknown symbol is a letter too, of mass
     1 - beta(context), and each full string is weighted by its own escape
     mass: the chance that the auxiliary chain is still unknown at step n.
-    Only positive-mass branches are visited, in depth-first order.
+    Only positive-mass branches are visited, in depth-first order; each
+    node tries the context's ``letters_for`` within ``letters``, which on a
+    countable alphabet names every letter that can carry mass.  With
+    ``max_nodes`` the walk raises ExplosionGuard once it has visited more
+    nodes (contexts, full strings included) than that.
     """
+    allowed = frozenset(letters)
     total = 0.0
+    nodes = 0
 
     def rec(ctx, depth, prob):
-        nonlocal total
+        nonlocal total, nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise ExplosionGuard(
+                f"enumerating strings of length {n} visits more than "
+                f"{max_nodes} nodes"
+            )
         if depth == n:
             total += prob * max(0.0, 1.0 - kernel.beta(ctx)) if star else prob
             return
@@ -53,7 +67,9 @@ def _string_mass(kernel: KernelSpec, n: int, letters, bases=((),), star=False):
             escape = 1.0 - kernel.beta(ctx)
             if escape > 0.0:
                 rec((STAR,) + ctx, depth + 1, prob * escape)
-        for g in letters:
+        for g in kernel.letters_for(ctx):
+            if g not in allowed:
+                continue
             a = kernel.alpha(g, ctx)
             if a > 0.0:
                 rec((g,) + ctx, depth + 1, prob * a)
@@ -122,7 +138,8 @@ def exact_T0_tail(
     recursion p_m = s(m+1) + sum_{j=1..m} theta_j p_{m-j} — conditioning
     on the realized star pattern and taking expectations, no independence
     needed — so the value is computable for any n.  Otherwise the
-    star-extended strings are enumerated (budget-guarded).
+    star-extended strings are enumerated, visiting at most ``budget``
+    nodes.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
@@ -136,10 +153,9 @@ def exact_T0_tail(
                 acc += theta(j) * p[m - j]
             p.append(acc)
         return p[n]
-    letters = _letters(kernel, truncation)
-    if (len(letters) + 1) ** n > budget:
-        raise ExplosionGuard(f"({len(letters)}+1)^{n} star strings exceed {budget}")
-    return _string_mass(kernel, n, letters, star=True)
+    return _string_mass(
+        kernel, n, _letters(kernel, truncation), star=True, max_nodes=budget
+    )
 
 
 @dataclass

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .kernels import STAR, KernelSpec, Window, canon, known_positions
+from .kernels import STAR, KernelSpec, Window, canon
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +132,18 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
         raise ValueError("delta in [0,1] required")
     t0 = theta.theta(0)
     base = {0: t0 * delta, 1: t0 * (1.0 - delta)}
+    lag_weights = []  # lag_weights[j] = theta_{j+1}, grown to the longest window seen
 
     def alpha(g, w: Window) -> float:
         if g not in (0, 1):
             return 0.0
+        n = len(w)
+        if len(lag_weights) < n:
+            lag_weights.extend(theta.theta(j + 1) for j in range(len(lag_weights), n))
         acc = base[g]
-        for j, x in known_positions(canon(w)):
+        for x, wt in zip(w, lag_weights):  # STAR never equals a letter
             if x == g:
-                acc += theta.theta(j + 1)
+                acc += wt
         return acc
 
     def beta_known(n):  # fully-known n-window, any values

@@ -1,17 +1,53 @@
-"""Direct-sweep reference for the coupled backward sampler.
+"""Rebuild-everything references for both backward samplers.
 
-This is the obvious-by-construction form: every round snapshots the whole
-tableau, rebuilds every window's left context from scratch, and sweeps all
-windows newest-first.  It is quadratic-ish in the number of rounds and
-exists only as a test oracle: the production sampler must stay
-bit-identical to it (symbols, stopping map, round and uniform counts, and
-every intermediate tableau snapshot).
+These are the obvious-by-construction forms and exist only as test
+oracles: the production samplers must stay bit-identical to them
+(symbols, stopping map, round and uniform counts, and the tableau of a
+run cut short).
+
+- ``run_algorithm2_ref`` is the direct sweep: every round snapshots the
+  whole tableau, rebuilds every window's left context from scratch, and
+  sweeps all windows newest-first.  It is quadratic-ish in the number of
+  rounds.
+- ``run_algorithm1_ref`` runs the spontaneous-symbol round loop with an
+  increment step that rebuilds both windows of every re-read and scans
+  alpha on each, where ``run_algorithm1`` keeps each open time's last
+  scan.
 """
 
-from perfectsim.backward import MaxRoundsExceeded, SimulationTableau, StoppingRecord
+from perfectsim.backward import (
+    MaxRoundsExceeded,
+    SimulationTableau,
+    StoppingRecord,
+    _backward,
+)
 from perfectsim.coalescence import prepare_coalescence
 from perfectsim.kernels import STAR, KernelContractViolation, _scan, _scan_increment
-from perfectsim.streams import uniform_at
+from perfectsim.streams import keyed_uniforms, uniform_at
+
+
+def run_algorithm1_ref(kernel, k, key, max_rounds=10**6, uniforms=None):
+    if k < 0:
+        raise ValueError("k >= 0 required")
+    if uniforms is None:
+        uniforms = keyed_uniforms(key)
+
+    def step(temp, t, u, threshold, newly):
+        # the window back to the round start, against the start-of-round
+        # view of it: the same window with this round's letters starred
+        w_new = [temp[j] for j in range(t - 1, newly[0][0] - 1, -1)]
+        w_old = list(w_new)
+        for j, _ in newly:
+            w_old[t - 1 - j] = STAR
+        return _scan_increment(kernel, u, w_new, w_old, threshold)
+
+    temp, T, rounds, consumed = _backward(kernel, -k, 0, uniforms, max_rounds, step)
+    record = StoppingRecord(
+        T={t: T[t] for t in range(-k, 1)},
+        rounds_used=rounds,
+        uniforms_consumed=consumed,
+    )
+    return [temp[t] for t in range(-k, 1)], record
 
 
 def run_algorithm2_ref(

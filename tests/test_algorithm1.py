@@ -10,6 +10,8 @@ import pytest
 
 import perfectsim
 
+from reference_impl import run_algorithm1_ref
+
 from perfectsim.backward import (
     BetaZeroForAlgo1,
     MaxRoundsExceeded,
@@ -18,6 +20,7 @@ from perfectsim.backward import (
     run_joint_tableau,
 )
 from perfectsim.gallery import (
+    build_kernel,
     flipflop_r,
     make_autoregressive,
     make_flipflop,
@@ -26,7 +29,13 @@ from perfectsim.gallery import (
     theta_list,
     theta_polynomial,
 )
-from perfectsim.kernels import STAR, sample_symbol
+from perfectsim.kernels import (
+    STAR,
+    KernelContractViolation,
+    KernelSpec,
+    canon,
+    sample_symbol,
+)
 from perfectsim.streams import StreamKey, keyed_uniforms, uniform_at
 
 
@@ -148,7 +157,108 @@ def test_joint_tableau_matches_algorithm1_on_the_same_uniforms(theta):
             ], (k, rep)
 
 
-_NAN_KERNELS = textwrap.dedent(
+# -------------------------------------------- cached increment vs rebuild
+
+
+def _outcome(run, kernel, k, key, **kw):
+    """Everything a run shows: its draw and record, or its cut tableau."""
+    try:
+        syms, rec = run(kernel, k, key, **kw)
+    except MaxRoundsExceeded as exc:
+        tab = exc.tableau
+        return "cut", str(exc), tab.temp, tab.round, tab.target_lo, tab.target_hi
+    return "done", syms, rec.T, rec.rounds_used, rec.uniforms_consumed
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("autoregressive", {"theta": "geometric:0.5"}),
+        ("autoregressive", {"theta": "geometric:0.8"}),
+        ("autoregressive", {"theta": "list:0.5,0.3,0.2"}),
+        ("autoregressive", {"theta": "polynomial:0.3"}),
+        ("imitation", {}),
+        ("imitation-general", {}),
+        ("ladder", {}),
+    ],
+    ids=[
+        "geometric:0.5",
+        "geometric:0.8",
+        "list",
+        "polynomial:0.3",
+        "imitation",
+        "imitation-general",
+        "ladder",
+    ],
+)
+def test_cached_increment_matches_the_rebuilt_windows(name, params):
+    # run_algorithm1 reads each open time's old masses from its last scan;
+    # the reference rebuilds both windows and scans alpha on each.  Equal
+    # masses give equal thresholds, so every decision agrees, including
+    # the partial tableau of a run cut short by its round budget
+    kernel = build_kernel(name, params)
+    for k in (0, 1, 5, 30):
+        for rep in range(25):
+            key = StreamKey(seed=41, replication=rep)
+            assert _outcome(run_algorithm1, kernel, k, key) == _outcome(
+                run_algorithm1_ref, kernel, k, key
+            ), (k, rep)
+        for rep in range(10):
+            key = StreamKey(seed=42, replication=rep)
+            assert _outcome(run_algorithm1, kernel, k, key, max_rounds=3) == _outcome(
+                run_algorithm1_ref, kernel, k, key, max_rounds=3
+            ), (k, rep)
+
+
+def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
+    # positive_letters leaves out letter 2 on windows shorter than 2 although
+    # it carries mass there (0.0625 on one known letter), so the first scan
+    # that names it finds no cached mass and must evaluate alpha on the
+    # cached window: not take 0, not read the empty window.  That mass never
+    # enters a threshold, so a uniform above 0.9375 can stay open for good:
+    # the round budget cuts those runs
+    def alpha(g, w):
+        n = min(len(canon(w)), 4)
+        if g == 1:
+            return (0.25, 0.375, 0.5, 0.625, 0.75)[n]
+        return (0.03125, 0.0625, 0.125, 0.1875, 0.25)[n] if g == 2 else 0.0
+
+    understated = KernelSpec(
+        "understated",
+        {},
+        None,
+        alpha,
+        positive_letters=lambda w: (1,) if len(canon(w)) < 2 else (1, 2),
+    )
+    for k in (0, 3):
+        for rep in range(200):
+            key = StreamKey(seed=43, replication=rep)
+            cached, rebuilt = (
+                _outcome(run, understated, k, key, max_rounds=40)
+                for run in (run_algorithm1, run_algorithm1_ref)
+            )
+            assert cached == rebuilt, (k, rep)
+
+
+def test_a_decreasing_mass_is_refused_like_the_reference():
+    # masses 0.3 with no context and 0.2 once any letter is known: revealing
+    # a letter lowers them, which no lower envelope may do.  u(0) = 0.9
+    # clears beta() = 0.6; u(-1) = 0.1 draws letter 0, and the re-read of
+    # time 0 finds alpha(0 | (0,)) below alpha(0 | ())
+    shrinking = KernelSpec(
+        "shrinking", {}, (0, 1), lambda g, w: 0.2 if canon(w) else 0.3
+    )
+    us = {0: 0.9, -1: 0.1}
+    errors = []
+    for run in (run_algorithm1, run_algorithm1_ref):
+        with pytest.raises(KernelContractViolation, match="decreased") as exc:
+            run(shrinking, 0, StreamKey(0), uniforms=us.__getitem__)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert "refined from () to (0,)" in errors[0]
+
+
+_BROKEN_KERNELS = textwrap.dedent(
     """
     import dataclasses
     from perfectsim import StreamKey, run_algorithm1, run_algorithm2
@@ -171,6 +281,10 @@ _NAN_KERNELS = textwrap.dedent(
     coupled = dataclasses.replace(
         cy, alpha=lambda g, w: nan if len(canon(w)) > 3 else cy.alpha(g, w)
     )
+    # masses that fall once a letter is revealed
+    shrinking = KernelSpec(
+        "shrinking", {}, (0, 1), lambda g, w: 0.2 if canon(w) else 0.3
+    )
     runs = {
         "run_algorithm1": lambda r: run_algorithm1(
             spont, 0, StreamKey(1, r), max_rounds=300
@@ -180,6 +294,9 @@ _NAN_KERNELS = textwrap.dedent(
         ),
         "run_algorithm2": lambda r: run_algorithm2(
             coupled, 0, StreamKey(1, r), max_rounds=500
+        ),
+        "run_algorithm1-shrinking": lambda r: run_algorithm1(
+            shrinking, 0, StreamKey(1, r), max_rounds=300
         ),
     }
     for name, run in runs.items():
@@ -198,12 +315,13 @@ _NAN_KERNELS = textwrap.dedent(
 
 
 def test_threshold_checks_run_under_python_O():
-    # the chained-threshold checks of all three samplers are raises, not
-    # asserts, so a broken kernel is still caught with assertions stripped
+    # the chained-threshold checks of all three samplers and the increment
+    # step's "decreased" check are raises, not asserts, so a broken kernel
+    # is still caught with assertions stripped
     src = os.path.dirname(os.path.dirname(perfectsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _NAN_KERNELS],
+        [sys.executable, "-O", "-c", _BROKEN_KERNELS],
         env=env,
         capture_output=True,
         text=True,
@@ -215,8 +333,11 @@ def test_threshold_checks_run_under_python_O():
         "run_algorithm1",
         "run_joint_tableau",
         "run_algorithm2",
+        "run_algorithm1-shrinking",
     ], out.stdout
-    assert all("tripped:" in line and "threshold nan" in line for line in lines)
+    assert all("tripped:" in line for line in lines), out.stdout
+    assert all("threshold nan" in line for line in lines[:3]), out.stdout
+    assert "decreased by" in lines[3], out.stdout
 
 
 def test_replay_is_bit_identical_and_replications_are_separate():

@@ -6,7 +6,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from perfectsim.backward import BetaZeroForAlgo1, run_algorithm1, run_joint_tableau
+from perfectsim.backward import (
+    BetaZeroForAlgo1,
+    run_algorithm1,
+    run_auxiliary_chain,
+    run_joint_tableau,
+)
 from perfectsim.coalescence import find_nhat
 from perfectsim.diagnostics import (
     ExplosionGuard,
@@ -18,6 +23,7 @@ from perfectsim.diagnostics import (
     rho_tilde_exact,
 )
 from perfectsim.gallery import (
+    build_kernel,
     flipflop_r,
     make_autoregressive,
     make_cyclic4,
@@ -27,6 +33,7 @@ from perfectsim.gallery import (
     theta_list,
     theta_polynomial,
 )
+from perfectsim.kernels import STAR
 from perfectsim.streams import StreamKey
 
 
@@ -82,7 +89,8 @@ def test_tail_input_validation_and_budget():
 
 def test_countable_alphabet_enumeration_hand_values():
     # imitation with c = (0.3, 0.2) has no finite alphabet, so both oracles
-    # enumerate letters 1..50 and visit only those of positive mass.
+    # walk the positive letters of each context within 1..50 and visit
+    # only those of positive mass.
     # alpha(g | ()) = c_g, so beta(()) = 0.5.  With x_-1 = m known the
     # chain copies the last m letters with weight 1 - 0.5 = 0.5:
     #   alpha(1 | (1,)) = 0.3 + 0.5, alpha(2 | (1,)) = 0.2: beta((1,)) = 1;
@@ -97,6 +105,50 @@ def test_countable_alphabet_enumeration_hand_values():
     assert abs(exact_T0_tail(im, 1) - 0.3) <= 1e-12
     assert abs(rho_exact(im, 1) - 0.5) <= 1e-12
     assert abs(rho_exact(im, 2) - 0.45) <= 1e-12
+
+
+def test_countable_enumeration_scans_only_the_positive_letters():
+    # the walker asks alpha only about letters positive_letters names: on
+    # imitation that is 86 calls to n = 3, each of positive mass, where a
+    # walk over all 50 truncated letters made 662
+    im = build_kernel("imitation", {})
+    asked = []
+
+    def alpha(g, w):
+        asked.append((g, w))
+        return im.alpha(g, w)
+
+    counted = dataclasses.replace(im, alpha=alpha, beta=None)
+    assert exact_T0_tail(counted, 3) == exact_T0_tail(im, 3)
+    assert all(g in im.positive_letters(w) for g, w in asked)
+    assert len(asked) == 86
+
+
+def test_tail_budget_counts_visited_nodes():
+    # the countable kernels' tails to n = 6 visit a few hundred nodes, well
+    # inside the command line's budget of 300 000 (51^4 leaves would not be)
+    for name in ("imitation", "imitation-general", "ladder"):
+        kernel = build_kernel(name, {})
+        exact_T0_tail(kernel, 6, budget=300_000)
+        with pytest.raises(ExplosionGuard, match="more than 100 nodes"):
+            exact_T0_tail(kernel, 6, budget=100)
+
+
+@pytest.mark.parametrize("name", ["imitation", "imitation-general", "ladder"])
+def test_countable_tail_matches_the_auxiliary_chain_past_n3(name):
+    # P(T0 tail > n) is the chance that the forward auxiliary chain is still
+    # unknown at step n; 4000 chains (seed 23), 4 standard errors
+    kernel = build_kernel(name, {})
+    reps = 4000
+    unknown = [0] * 7
+    for rep in range(reps):
+        ys = run_auxiliary_chain(kernel, 6, StreamKey(seed=23, replication=rep))
+        for n in range(4, 7):
+            unknown[n] += ys[n] is STAR
+    for n in range(4, 7):
+        p = exact_T0_tail(kernel, n, budget=300_000)
+        se = math.sqrt(p * (1.0 - p) / reps)
+        assert abs(unknown[n] / reps - p) <= 4 * se, (n, unknown[n] / reps, p)
 
 
 # ----------------------------------------------------- letter-string masses

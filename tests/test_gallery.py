@@ -115,6 +115,40 @@ def test_matching_model_closed_forms():
         assert cf["rho"](n) == ap(prod)
 
 
+def _autoregressive_alpha_by_definition(theta, delta, g, w):
+    # base mass, then theta_{j+1} for each known lag j holding g, folded in
+    # ascending j
+    if g not in (0, 1):
+        return 0.0
+    acc = theta.theta(0) * (delta if g == 0 else 1.0 - delta)
+    for j, x in enumerate(w):
+        if x is not STAR and x == g:
+            acc += theta.theta(j + 1)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "label", ["geometric:0.8", "polynomial:0.3", "list:0.5,0.3,0.2"]
+)
+def test_autoregressive_alpha_is_its_ascending_fold(label):
+    # alpha keeps a table of lag weights grown to the longest window seen,
+    # so the same windows (trailing stars and letters outside {0, 1}
+    # included) are visited long-first and short-first on fresh kernels
+    theta = parse_theta(label)
+    rng = random.Random(17)
+    windows = [
+        tuple(rng.choice((0, 1, STAR, 2, -1)) for _ in range(rng.randrange(60)))
+        + (STAR,) * rng.randrange(4)
+        for _ in range(300)
+    ]
+    for reverse in (True, False):
+        au = make_autoregressive(theta, 0.3)
+        for w in sorted(windows, key=len, reverse=reverse):
+            for g in (0, 1, 2, -1):
+                want = _autoregressive_alpha_by_definition(theta, 0.3, g, w)
+                assert au.alpha(g, w) == want, (g, w)
+
+
 # ----------------------------------------------------------- copying models
 
 
