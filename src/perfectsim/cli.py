@@ -36,6 +36,8 @@ from .coalescence import (
     build_markov_analysis,
     compute_n0,
     find_nhat,
+    make_plan,
+    prepare_coalescence,
     run_algorithm2,
 )
 from .diagnostics import (
@@ -163,6 +165,9 @@ def cmd_sample(cfg) -> int:
     if algo not in ("algo1", "algo2", "auxiliary"):
         raise ConfigError(f"unknown --algo {algo!r}")
 
+    plan = None
+    if algo == "algo2":
+        plan = prepare_coalescence(kernel, cfg["nhat_max"], cfg["n0_max"])
     rows = []
     marginal: dict = {}
     abs_ts = []
@@ -178,8 +183,7 @@ def cmd_sample(cfg) -> int:
                 k,
                 key,
                 max_rounds=max_rounds if max_rounds else 10**4,
-                nhat_max=cfg["nhat_max"],
-                n0_max=cfg["n0_max"],
+                plan=plan,
             )
         else:
             syms, rec = run_auxiliary_chain(kernel, k, key), None
@@ -219,19 +223,20 @@ def cmd_sample(cfg) -> int:
         v == "*" or v.lstrip("-").isdigit() for v in numeric
     ) else []
     mean_x0, se_x0 = _mean_se(x0_vals)
-    _write_json(
-        f"{cfg['out']}.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "replications": reps,
-            "marginal_newest": marginal,
-            "mean_abs_T": mean_t,
-            "se_abs_T": se_t,
-            "mean_x0": mean_x0,
-            "se_x0": se_x0,
-        },
-    )
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg,
+        "replications": reps,
+        "marginal_newest": marginal,
+        "mean_abs_T": mean_t,
+        "se_abs_T": se_t,
+        "mean_x0": mean_x0,
+        "se_x0": se_x0,
+    }
+    if plan is not None:
+        summary["coupling"] = plan.coupling
+        summary["phase1_agreement"] = plan.agreement
+    _write_json(f"{cfg['out']}.json", summary)
     return 0
 
 
@@ -363,6 +368,8 @@ def cmd_analyze_markov(cfg) -> int:
     if isinstance(found, NotFound):
         payload["nhat"] = None
         payload["n0"] = None
+        payload["coupling"] = None
+        payload["phase1_agreement"] = None
         payload["reports"] = list(found.reports)
         try:
             analysis = build_markov_analysis(kernel, 1)
@@ -371,7 +378,10 @@ def cmd_analyze_markov(cfg) -> int:
     else:
         nhat, analysis = found
         payload["nhat"] = nhat
-        payload["n0"] = compute_n0(analysis, cfg["n0_max"])
+        plan = make_plan(kernel, analysis, compute_n0(analysis, cfg["n0_max"]))
+        payload["n0"] = plan.n0
+        payload["coupling"] = plan.coupling
+        payload["phase1_agreement"] = plan.agreement
         payload["reports"] = []
 
     if analysis is not None:

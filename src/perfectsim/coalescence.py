@@ -2,19 +2,24 @@
 
 When no letter can be produced context-free, the backward route couples
 one trajectory per admissible length-n̂ past inside fixed time windows of
-length n₀.  Phase 1 runs the coupled trajectories through a fresh window
-with per-past uniform streams; a position becomes known when every
-trajectory agrees on the same letter.  Phase 2 then revisits newer
-windows whose left n̂-context has become fully known and re-reads that
-context's own uniform stream against the freshly added mass, exactly as
-the single-stream sampler does, so earlier decisions are never
-contradicted.
+length n₀.  Phase 1 runs the coupled trajectories through a fresh window;
+a position becomes known when every trajectory agrees on the same letter.
+Phase 2 then revisits newer windows whose left n̂-context has become fully
+known and re-reads that context's own uniform against the freshly added
+mass, exactly as the single-stream sampler does, so earlier decisions are
+never contradicted.
+
+The trajectories share one uniform per time (the grand coupling of Propp
+& Wilson) whenever the plan's exact phase-1 agreement probability under
+that coupling is positive; otherwise each past reads its own uniform
+stream.  The shared coupling is an extension: the paper's abstract, the
+only part of the paper at hand, does not say which coupling it uses.
 
 n̂ is the smallest order whose Markov lower-bound chain (transition mass
 alpha(g|w)/beta(w) on admissible windows) has a unique closed aperiodic
 class, and n₀ the smallest horizon at which every admissible past can
 have produced every window of the closed class — the window length that
-makes phase-1 agreement possible at all.
+makes phase-1 agreement possible at all under per-past streams.
 """
 
 from __future__ import annotations
@@ -271,32 +276,119 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
     )
 
 
+def _cum_table(kernel: KernelSpec, ctx: tuple):
+    """(letters, cumulative masses) of one context: the same letter order,
+    accumulation and bounds check as _scan, so a bisect on it is
+    bit-identical to scanning."""
+    lets = []
+    cum = []
+    acc = 0.0
+    for g in kernel.letters_for(ctx):
+        a = kernel.alpha(g, ctx)
+        if a < -TOL or a > 1.0 + TOL:
+            raise KernelContractViolation(
+                f"{kernel.name}: alpha({g!r}|{ctx!r}) = {a} outside [0,1]"
+            )
+        acc += a
+        lets.append(g)
+        cum.append(acc)
+    return lets, cum
+
+
+def _bisect_letter(tab, u):
+    lets, cum = tab
+    i = bisect_right(cum, u)
+    if i < len(cum):
+        return lets[i], cum[i]
+    return STAR, (cum[-1] if cum else 0.0)
+
+
+def phase1_agreement(
+    kernel: KernelSpec, analysis: MarkovAnalysis, n0: int
+) -> float:
+    """Exact probability that phase 1 under one shared uniform per time
+    fixes a window's n̂ newest positions.
+
+    Every past's trajectory reads the same n₀ uniforms, so at each time
+    the union of the trajectories' cumulative-mass breakpoints cuts [0, 1)
+    into cells on which every trajectory's letter is constant.  The walk
+    refines the window time by time, oldest first, and sums the products
+    of cell lengths over the paths on which all trajectories draw the
+    same letter, not STAR, at each of the n̂ newest times.
+    """
+    nhat = analysis.order
+    tables: dict = {}
+
+    def walk(j, ctxs):
+        tabs = []
+        for c in ctxs:
+            tab = tables.get(c)
+            if tab is None:
+                tab = tables[c] = _cum_table(kernel, c)
+            tabs.append(tab)
+        cuts = sorted(
+            {0.0, 1.0} | {min(max(c, 0.0), 1.0) for _, cum in tabs for c in cum}
+        )
+        total = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            syms = [_bisect_letter(tab, lo)[0] for tab in tabs]
+            agree = syms[0] is not STAR and syms.count(syms[0]) == len(syms)
+            if j >= n0 - nhat and not agree:
+                continue
+            if j == n0 - 1:
+                total += hi - lo
+            else:
+                total += (hi - lo) * walk(
+                    j + 1, [(g,) + c for g, c in zip(syms, ctxs)]
+                )
+        return total
+
+    return walk(0, list(analysis.states))
+
+
 @dataclass
 class CoalescencePlan:
     nhat: int
     n0: int
     analysis: MarkovAnalysis
-    index: dict  # window in C -> past_id for the uniform streams
+    index: dict  # window in C -> past_id for the per-past uniform streams
+    agreement: float  # phase1_agreement under the shared coupling
+    shared: bool  # phase 1 reads one uniform per time for every past
+
+    @property
+    def coupling(self) -> str:
+        return "shared" if self.shared else "per-past"
+
+
+def make_plan(
+    kernel: KernelSpec, analysis: MarkovAnalysis, n0: int
+) -> CoalescencePlan:
+    """Plan for a resolved (n̂ analysis, n₀): shared uniforms whenever they
+    can make phase 1 agree, per-past streams otherwise."""
+    agreement = phase1_agreement(kernel, analysis, n0)
+    return CoalescencePlan(
+        nhat=analysis.order,
+        n0=n0,
+        analysis=analysis,
+        index={w: i for i, w in enumerate(analysis.states)},
+        agreement=agreement,
+        shared=agreement > 0.0,
+    )
 
 
 @lru_cache(maxsize=32)
 def prepare_coalescence(
     kernel: KernelSpec, nhat_max: int = 8, n0_max: int = 64
 ) -> CoalescencePlan:
-    """Resolve (n̂, n₀) once per kernel; raises AssumptionViolated if absent."""
+    """Resolve (n̂, n₀) and the coupling once per kernel; raises
+    AssumptionViolated if no usable order exists."""
     found = find_nhat(kernel, nhat_max)
     if isinstance(found, NotFound):
         raise AssumptionViolated(
             f"{kernel.name}: no usable order <= {found.n_max}: {found.reports}"
         )
-    nhat, analysis = found
-    n0 = compute_n0(analysis, n0_max)
-    return CoalescencePlan(
-        nhat=nhat,
-        n0=n0,
-        analysis=analysis,
-        index={w: i for i, w in enumerate(analysis.states)},
-    )
+    _, analysis = found
+    return make_plan(kernel, analysis, compute_n0(analysis, n0_max))
 
 
 def run_algorithm2(
@@ -316,8 +408,26 @@ def run_algorithm2(
     map holds the window index T̃[t] whose round resolved each target:
     the output depends only on uniforms at times >= l(T̃min), nothing
     older.  ``uniforms`` may override the keyed streams (callable
-    (time, past_id) -> u); ``trace`` receives (round, merged snapshot)
-    after every round.
+    (time, past_id) -> u, called with past_id None under the shared
+    coupling); ``trace`` receives (round, merged snapshot) after every
+    round.
+
+    The plan fixes the coupling.  Under the shared one (``plan.shared``)
+    phase 1 reads one uniform per time, ``uniforms(t, None)``, for every
+    past, and phase 2 re-reads that same value; otherwise every past
+    reads its own stream ``uniforms(t, past_id)`` and phase 2 the stream
+    of the window's true left context.  Either way the output is exact:
+    given the true left context b of window z, the uniforms the
+    b-trajectory reads in z are i.i.d. and independent of every older
+    window, so its letters follow the kernel; if all pasts agree on a
+    letter, that letter is b's letter; and phase 2 stacks increments on
+    the same uniform b's trajectory read, so it only extends b's scan.
+    The couplings differ in termination.  n₀-positivity makes phase-1
+    agreement possible for independent streams only; under the shared
+    coupling the plan's exact ``agreement > 0`` (the probability that a
+    window's n̂ newest positions all agree, the same for every window
+    and independent across windows) takes its place, and the plan falls
+    back to per-past streams where it is 0.
 
     Phase 2 is event-driven: a window is swept only while its left
     n̂-context is fully known and it still has unresolved positions,
@@ -340,7 +450,7 @@ def run_algorithm2(
         plan = prepare_coalescence(kernel, nhat_max, n0_max)
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-    nhat, n0 = plan.nhat, plan.n0
+    nhat, n0, shared = plan.nhat, plan.n0, plan.shared
     horizon = kernel.closed_forms.get("exact_horizon")
     admissible = kernel.admissible_window
     C = plan.analysis.states
@@ -372,37 +482,21 @@ def run_algorithm2(
     ucount = 0
 
     def _u(t, pid):
-        kk = (t, pid)
+        # the stream id: one uniform per time under the shared coupling
+        kk = (t, None) if shared else (t, pid)
         u = ucache.get(kk)
         if u is None:
             nonlocal ucount
-            u = ucache[kk] = uniforms(t, pid)
+            u = ucache[kk] = uniforms(*kk)
             ucount += 1
         return u
 
     def _tscan(u, ctx):
-        # bit-identical to _scan: same letter order, same accumulation,
-        # same bounds check -- just cached per context
+        # bit-identical to _scan, with the table cached per context
         tab = tables.get(ctx)
         if tab is None:
-            lets = []
-            cum = []
-            acc = 0.0
-            for g in kernel.letters_for(ctx):
-                a_ = kernel.alpha(g, ctx)
-                if a_ < -TOL or a_ > 1.0 + TOL:
-                    raise KernelContractViolation(
-                        f"{kernel.name}: alpha({g!r}|{ctx!r}) = {a_} outside [0,1]"
-                    )
-                acc += a_
-                lets.append(g)
-                cum.append(acc)
-            tab = tables[ctx] = (lets, cum)
-        lets, cum = tab
-        i = bisect_right(cum, u)
-        if i < len(cum):
-            return lets[i], cum[i]
-        return STAR, (cum[-1] if cum else 0.0)
+            tab = tables[ctx] = _cum_table(kernel, ctx)
+        return _bisect_letter(tab, u)
 
     def _resolved(t):
         """Bookkeeping after temp[t] turned into a letter."""

@@ -3,7 +3,7 @@
 Every uniform used by the samplers is a pure function of a StreamKey
 (seed, replication, time, optional past-window id).  Counter-based rather
 than sequential: the backward algorithms revisit old times in later rounds
-and interleave per-past streams, so the value at a key must never depend
+and the coupled route may interleave per-past streams, so the value at a key must never depend
 on query order.
 """
 
@@ -22,8 +22,9 @@ class StreamKey:
     """Address of one uniform variate.
 
     ``time`` is a signed integer (backward runs use negative times).
-    ``past_id`` is the index of a past window in the coupled-trajectory
-    construction; ``None`` for the single-stream algorithm.
+    ``past_id`` is the index of a past window when the coupled route runs
+    per-past streams; ``None`` for the single-stream algorithm and for the
+    coupled route's shared coupling, where every past reads ``u(time)``.
     """
 
     seed: int

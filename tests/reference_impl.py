@@ -8,7 +8,9 @@ run cut short).
 - ``run_algorithm2_ref`` is the direct sweep: every round snapshots the
   whole tableau, rebuilds every window's left context from scratch, and
   sweeps all windows newest-first.  It is quadratic-ish in the number of
-  rounds.
+  rounds.  Like the sampler, it reads the stream id from the plan: one
+  uniform per time under the shared coupling, one stream per past
+  otherwise.
 - ``run_algorithm1_ref`` runs the spontaneous-symbol round loop with an
   increment step that rebuilds both windows of every re-read and scans
   alpha on each, where ``run_algorithm1`` keeps each open time's last
@@ -85,9 +87,9 @@ def run_algorithm2_ref(
     first_done = {}
 
     def _u(t, pid):
-        kk = (t, pid)
+        kk = (t, None if plan.shared else pid)
         if kk not in ucache:
-            ucache[kk] = uniforms(t, pid)
+            ucache[kk] = uniforms(*kk)
         return ucache[kk]
 
     n = 0

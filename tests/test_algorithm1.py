@@ -263,6 +263,7 @@ _BROKEN_KERNELS = textwrap.dedent(
     import dataclasses
     from perfectsim import StreamKey, run_algorithm1, run_algorithm2
     from perfectsim.backward import MaxRoundsExceeded, run_joint_tableau
+    from perfectsim.coalescence import prepare_coalescence
     from perfectsim.gallery import make_cyclic4, theta_geometric
     from perfectsim.kernels import KernelContractViolation, KernelSpec, canon
 
@@ -281,6 +282,9 @@ _BROKEN_KERNELS = textwrap.dedent(
     coupled = dataclasses.replace(
         cy, alpha=lambda g, w: nan if len(canon(w)) > 3 else cy.alpha(g, w)
     )
+    shared = prepare_coalescence(coupled)
+    assert shared.shared
+    per_past = dataclasses.replace(shared, shared=False)
     # masses that fall once a letter is revealed
     shrinking = KernelSpec(
         "shrinking", {}, (0, 1), lambda g, w: 0.2 if canon(w) else 0.3
@@ -293,7 +297,10 @@ _BROKEN_KERNELS = textwrap.dedent(
             spont, 0, StreamKey(1, r), max_extra_rounds=300
         ),
         "run_algorithm2": lambda r: run_algorithm2(
-            coupled, 0, StreamKey(1, r), max_rounds=500
+            coupled, 0, StreamKey(1, r), max_rounds=500, plan=shared
+        ),
+        "run_algorithm2-per-past": lambda r: run_algorithm2(
+            coupled, 0, StreamKey(1, r), max_rounds=500, plan=per_past
         ),
         "run_algorithm1-shrinking": lambda r: run_algorithm1(
             shrinking, 0, StreamKey(1, r), max_rounds=300
@@ -315,9 +322,10 @@ _BROKEN_KERNELS = textwrap.dedent(
 
 
 def test_threshold_checks_run_under_python_O():
-    # the chained-threshold checks of all three samplers and the increment
-    # step's "decreased" check are raises, not asserts, so a broken kernel
-    # is still caught with assertions stripped
+    # the chained-threshold checks of all three samplers (the coupled one
+    # under both couplings) and the increment step's "decreased" check are
+    # raises, not asserts, so a broken kernel is still caught with
+    # assertions stripped
     src = os.path.dirname(os.path.dirname(perfectsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -333,11 +341,12 @@ def test_threshold_checks_run_under_python_O():
         "run_algorithm1",
         "run_joint_tableau",
         "run_algorithm2",
+        "run_algorithm2-per-past",
         "run_algorithm1-shrinking",
     ], out.stdout
     assert all("tripped:" in line for line in lines), out.stdout
-    assert all("threshold nan" in line for line in lines[:3]), out.stdout
-    assert "decreased by" in lines[3], out.stdout
+    assert all("threshold nan" in line for line in lines[:4]), out.stdout
+    assert "decreased by" in lines[4], out.stdout
 
 
 def test_replay_is_bit_identical_and_replications_are_separate():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from perfectsim import cli
+from perfectsim import build_kernel, cli, prepare_coalescence
 
 
 def _run(*argv):
@@ -143,9 +143,38 @@ def test_analyze_markov_reports_structure(tmp_path):
     assert payload["n_closed_classes"] == 1
     assert payload["period"] == 1
     assert payload["n_states"] == 4
+    assert payload["coupling"] == "shared"
+    assert payload["phase1_agreement"] == prepare_coalescence(
+        build_kernel("cyclic4", {})
+    ).agreement
     matrix = (tmp_path / "cycle-matrix.csv").read_text().splitlines()
     assert matrix[1].split(",")[0] == "from\\to"
     assert len(matrix) == 2 + 4  # comment, header, one row per window
+
+
+def test_coupled_route_records_its_coupling(tmp_path):
+    rc = _run(
+        "sample",
+        "--kernel",
+        "cyclic4",
+        "--algo",
+        "algo2",
+        "--reps",
+        "5",
+        "--out",
+        str(tmp_path / "c4"),
+    )
+    assert rc == 0
+    summary = json.loads((tmp_path / "c4.json").read_text())
+    assert summary["coupling"] == "shared"
+    assert summary["phase1_agreement"] == pytest.approx(5 / 72, rel=0, abs=1e-12)
+    # on the 5-cycle with these weights no shared uniform makes every
+    # past agree, so the plan keeps per-past streams
+    argv = ["--kernel", "graph-walk", "--param", "graph=cycle:5"]
+    argv += ["--param", "theta=list:0.5,0.3,0.2", "--out", str(tmp_path / "c5")]
+    assert _run("analyze-markov", *argv) == 0
+    payload = json.loads((tmp_path / "c5.json").read_text())
+    assert (payload["coupling"], payload["phase1_agreement"]) == ("per-past", 0.0)
 
 
 def test_analyze_markov_reports_a_null_order_honestly(tmp_path):
@@ -155,6 +184,8 @@ def test_analyze_markov_reports_a_null_order_honestly(tmp_path):
     payload = json.loads((tmp_path / "ff.json").read_text())
     assert payload["nhat"] is None
     assert payload["n0"] is None
+    assert payload["coupling"] is None
+    assert payload["phase1_agreement"] is None
     assert len(payload["reports"]) == 6
     assert payload["n_closed_classes"] == 2  # order-1 fallback analysis
 

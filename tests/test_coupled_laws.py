@@ -1,0 +1,211 @@
+"""Exact laws of the coupled route, under both phase-1 couplings.
+
+Two oracles that share no code with the sampler's own bookkeeping:
+
+- the stopping law: a symbolic uniform that records every comparison the
+  sampler makes with it lets a depth-first search enumerate each decision
+  path of a run through the ``uniforms=`` hook; a path's probability is
+  the product of its uniforms' final interval lengths (ties have measure
+  zero), so summing over paths gives the exact law of any event the run
+  decides;
+- the output law: on a kernel whose masses on long enough fully known
+  windows sum to 1, ``alpha`` is the true transition probability of an
+  order-m chain, so its stationary law solves pi P = pi.
+
+Every Monte Carlo comparison runs at a fixed seed and size against 4
+standard errors; both were fixed before the first run.
+"""
+
+import dataclasses
+import itertools
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from perfectsim.backward import MaxRoundsExceeded
+from perfectsim.coalescence import prepare_coalescence, run_algorithm2
+from perfectsim.gallery import build_kernel
+from perfectsim.streams import StreamKey
+
+
+class _Path:
+    """One depth-first path: the branches forced by its prefix, then the
+    'below' branch at every new comparison."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.taken = []
+        self.cells = {}  # stream key -> the uniform's interval [lo, hi)
+
+    def probability(self):
+        return math.prod(hi - lo for lo, hi in self.cells.values())
+
+
+class _SymbolicUniform:
+    """A uniform on [0, 1) known only up to an interval; each comparison
+    that splits the interval is a branch of the path.  ``bisect_right``
+    compares with ``<``, so it needs nothing more."""
+
+    def __init__(self, path, key):
+        self.path = path
+        self.key = key
+        path.cells[key] = (0.0, 1.0)
+
+    def _below(self, c):
+        path = self.path
+        lo, hi = path.cells[self.key]
+        if c <= lo:
+            return False
+        if c >= hi:
+            return True
+        i = len(path.taken)
+        below = path.prefix[i] if i < len(path.prefix) else True
+        path.taken.append(below)
+        path.cells[self.key] = (lo, c) if below else (c, hi)
+        return below
+
+    def __lt__(self, c):
+        return self._below(c)
+
+    def __ge__(self, c):
+        return not self._below(c)
+
+
+def enumerate_paths(run):
+    """Yield (probability, run(uniforms)) for every decision path of
+    ``run``, which must draw all its randomness from ``uniforms(t, pid)``."""
+    stack = [[]]
+    while stack:
+        path = _Path(stack.pop())
+        symbols = {}
+
+        def uniforms(t, pid):
+            u = symbols.get((t, pid))
+            if u is None:
+                u = symbols[(t, pid)] = _SymbolicUniform(path, (t, pid))
+            return u
+
+        result = run(uniforms)
+        for i in range(len(path.prefix), len(path.taken)):
+            stack.append(path.taken[:i] + [False])
+        yield path.probability(), result
+
+
+def _cyclic4(theta):
+    return build_kernel("cyclic4", {"theta": theta})
+
+
+def _plan(kernel, shared):
+    return dataclasses.replace(prepare_coalescence(kernel), shared=shared)
+
+
+def _stops_in_window_zero(kernel, plan, key, uniforms=None):
+    try:
+        run_algorithm2(kernel, 0, key, max_rounds=0, plan=plan, uniforms=uniforms)
+    except MaxRoundsExceeded:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _window_zero_law(theta, shared):
+    """Exact P(rounds_used = 0) at k = 0 on cyclic4."""
+    kern = _cyclic4(theta)
+    plan = _plan(kern, shared)
+    key = StreamKey(0)
+    return sum(
+        prob
+        for prob, stopped in enumerate_paths(
+            lambda us: _stops_in_window_zero(kern, plan, key, us)
+        )
+        if stopped
+    )
+
+
+STOPPING_CASES = [("geometric:0.4", 0.003981), ("list:0.5,0.3,0.2", 0.002724)]
+
+
+@pytest.mark.parametrize("theta,per_past", STOPPING_CASES)
+def test_window_zero_stopping_law_is_the_plans_agreement(theta, per_past):
+    # n̂ = 1: the run stops in window 0 exactly when phase 1 fixes the
+    # newest position, the event whose probability the plan computes
+    plan = prepare_coalescence(_cyclic4(theta))
+    assert plan.nhat == 1 and plan.shared
+    shared_exact = _window_zero_law(theta, True)
+    assert shared_exact == pytest.approx(plan.agreement, rel=0, abs=1e-12)
+    per_past_exact = _window_zero_law(theta, False)
+    assert per_past_exact == pytest.approx(per_past, rel=0, abs=1e-6)
+    assert shared_exact > 10 * per_past_exact
+
+
+@pytest.mark.parametrize("theta", [t for t, _ in STOPPING_CASES])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-past"])
+def test_window_zero_stopping_frequency_matches_the_enumeration(theta, shared):
+    kern = _cyclic4(theta)
+    plan = _plan(kern, shared)
+    p = _window_zero_law(theta, shared)
+    n = 4000
+    hits = sum(
+        _stops_in_window_zero(kern, plan, StreamKey(seed=5, replication=r))
+        for r in range(n)
+    )
+    se = math.sqrt(p * (1.0 - p) / n)
+    assert abs(hits / n - p) <= 4.0 * se, (hits, n, p)
+
+
+# ------------------------------------------------------- the output law
+
+
+def _stationary_windows(kernel, m):
+    """pi over the admissible length-m windows of an order-m chain whose
+    alpha on fully known windows sums to 1 (newest letter first)."""
+    states = [
+        w
+        for w in itertools.product(kernel.alphabet, repeat=m)
+        if kernel.admissible_window(w)
+    ]
+    idx = {w: i for i, w in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for w in states:
+        for g in kernel.alphabet:
+            a = kernel.alpha(g, w)
+            if a > 0.0:
+                P[idx[w], idx[(g,) + w[:-1]]] += a
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+    A = np.vstack([P.T - np.eye(len(states)), np.ones(len(states))])
+    b = np.zeros(len(states) + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(A, b, rcond=None)[0]
+    return dict(zip(states, pi))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-past"])
+def test_coupled_draws_follow_the_stationary_law(shared):
+    kern = build_kernel(
+        "graph-walk", {"graph": "path:3", "theta": "list:0.5,0.3,0.2"}
+    )
+    pi = _stationary_windows(kern, 3)
+    laws = {"x0": {}, "x-1": {}, "pair": {}}
+    for w, p in pi.items():  # w = (X_0, X_-1, X_-2)
+        for name, cell in (("x0", w[0]), ("x-1", w[1]), ("pair", (w[1], w[0]))):
+            laws[name][cell] = laws[name].get(cell, 0.0) + p
+    expect = (2 / 7, 3 / 7, 2 / 7)
+    for x, p in zip(kern.alphabet, expect):
+        assert laws["x0"][x] == pytest.approx(p, rel=0, abs=1e-12)
+
+    plan = _plan(kern, shared)
+    n = 3000
+    counts = {name: dict.fromkeys(law, 0) for name, law in laws.items()}
+    for r in range(n):
+        key = StreamKey(seed=41, replication=r)
+        (x1, x0), _ = run_algorithm2(kern, 1, key, plan=plan)
+        counts["x0"][x0] += 1
+        counts["x-1"][x1] += 1
+        counts["pair"][(x1, x0)] += 1
+    for name, law in laws.items():
+        for cell, p in law.items():
+            se = math.sqrt(p * (1.0 - p) / n)
+            freq = counts[name][cell] / n
+            assert abs(freq - p) <= 4.0 * se, (name, cell, freq, p)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from perfectsim.coalescence import run_algorithm2
+from perfectsim.coalescence import prepare_coalescence, run_algorithm2
 from perfectsim.gallery import (
     GALLERY,
     build_kernel,
@@ -326,7 +326,10 @@ def test_alpha_ignores_letters_past_the_horizon_cut(name, params, rep):
 
     forms = {k: v for k, v in kern.closed_forms.items() if k != "exact_horizon"}
     uncut = dataclasses.replace(kern, alpha=alpha, closed_forms=forms)
-    run_algorithm2(uncut, 0, StreamKey(1, rep))
+    # per-past streams: their runs of hundreds of windows build the long
+    # contexts this test needs
+    plan = dataclasses.replace(prepare_coalescence(uncut), shared=False)
+    run_algorithm2(uncut, 0, StreamKey(1, rep), plan=plan)
     rng = random.Random(rep)
     windows = []
     for w in seen[:: max(1, len(seen) // 60)]:

@@ -28,7 +28,7 @@ from perfectsim.gallery import (
     theta_geometric,
 )
 from perfectsim.kernels import STAR, KernelContractViolation, KernelSpec
-from perfectsim.streams import StreamKey
+from perfectsim.streams import StreamKey, uniform_at
 
 from reference_impl import run_algorithm2_ref
 
@@ -43,6 +43,31 @@ def _degenerate():
         parameters={},
         alphabet=("a", "b"),
         alpha=lambda g, w: 1.0 if g == "a" else 0.0,
+    )
+
+
+def _per_past(kernel):
+    """The kernel's plan with independent per-past streams in phase 1."""
+    return dataclasses.replace(prepare_coalescence(kernel), shared=False)
+
+
+class _MirroredLetters(KernelSpec):
+    """Two-letter order-1 chain that stays with probability 0.6, scanning
+    its own letter first: past a scans (a, b) and past b scans (b, a), so
+    under one shared uniform the two trajectories always differ."""
+
+    def letters_for(self, w):
+        return ("b", "a") if w and w[0] == "b" else ("a", "b")
+
+
+def _mirrored():
+    def alpha(g, w):
+        if not w or w[0] is STAR:
+            return 0.4  # the envelope: min(0.6, 0.4) for either letter
+        return 0.6 if g == w[0] else 0.4
+
+    return _MirroredLetters(
+        name="mirrored", parameters={}, alphabet=("a", "b"), alpha=alpha
     )
 
 
@@ -181,11 +206,14 @@ def test_plan_preparation_caches_and_rejects():
 
 
 def test_deterministic_kernel_coalesces_immediately():
-    xs, rec = run_algorithm2(_degenerate(), 2, StreamKey(5))
-    assert xs == ["a", "a", "a"]
-    assert rec.T == {-2: -2, -1: -1, 0: 0}
-    assert rec.rounds_used == 2
-    assert rec.uniforms_consumed == 6
+    kern = _degenerate()
+    assert prepare_coalescence(kern).agreement == 1.0
+    for plan, per_window in ((None, 1), (_per_past(kern), 2)):
+        xs, rec = run_algorithm2(kern, 2, StreamKey(5), plan=plan)
+        assert xs == ["a", "a", "a"]
+        assert rec.T == {-2: -2, -1: -1, 0: 0}
+        assert rec.rounds_used == 2
+        assert rec.uniforms_consumed == 3 * per_window
 
 
 def test_coupled_sampler_rejects_negative_spans():
@@ -205,22 +233,56 @@ def test_coupled_sampler_replays_bit_identically():
     assert len(seen) > 1
 
 
-def test_coupled_sampler_uses_per_trajectory_streams():
-    kern = build_kernel("graph-walk", {"graph": "complete:3"})
-    pids = set()
-    times = []
+def _hooked_streams(key):
+    calls = []
 
     def hooked(t, pid):
-        pids.add(pid)
-        times.append(t)
-        from perfectsim.streams import uniform_at
+        calls.append((t, pid))
+        return uniform_at(key.at(t, pid))
 
-        return uniform_at(StreamKey(3, 0).at(t, pid))
+    return calls, hooked
 
-    _, rec = run_algorithm2(kern, 0, StreamKey(3), uniforms=hooked)
-    assert all(isinstance(p, int) and p >= 0 for p in pids)
-    assert rec.uniforms_consumed == len(times)
-    assert max(times) == 0
+
+def test_coupled_sampler_uses_per_trajectory_streams():
+    kern = build_kernel("graph-walk", {"graph": "complete:3"})
+    calls, hooked = _hooked_streams(StreamKey(3, 0))
+    _, rec = run_algorithm2(
+        kern, 0, StreamKey(3), plan=_per_past(kern), uniforms=hooked
+    )
+    assert all(isinstance(p, int) and p >= 0 for _, p in calls)
+    assert rec.uniforms_consumed == len(calls)
+    assert max(t for t, _ in calls) == 0
+
+
+def test_shared_coupling_reads_one_uniform_per_time():
+    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    plan = prepare_coalescence(kern)
+    assert plan.shared and plan.coupling == "shared"
+    for rep in range(20):
+        key = StreamKey(seed=3, replication=rep)
+        calls, hooked = _hooked_streams(key)
+        xs, rec = run_algorithm2(kern, 2, key, uniforms=hooked)
+        assert {p for _, p in calls} == {None}
+        assert len(calls) == len(set(calls))
+        assert rec.uniforms_consumed == plan.n0 * (rec.rounds_used + 1)
+        assert rec.uniforms_consumed == len(calls)
+        xs2, rec2 = run_algorithm2(kern, 2, key)
+        assert (xs2, rec2.T) == (xs, rec.T)
+
+
+def test_plan_falls_back_to_per_past_streams_when_agreement_is_impossible():
+    kern = _mirrored()
+    plan = prepare_coalescence(kern)
+    assert (plan.nhat, plan.n0) == (1, 1)
+    assert plan.agreement == 0.0
+    assert not plan.shared and plan.coupling == "per-past"
+    for rep in range(30):
+        key = StreamKey(seed=8, replication=rep)
+        calls, hooked = _hooked_streams(key)
+        xs, rec = run_algorithm2(kern, 3, key, max_rounds=500, uniforms=hooked)
+        assert set(xs) <= {"a", "b"}
+        assert None not in {p for _, p in calls}
+        assert rec.uniforms_consumed == len(calls)
 
 
 def test_tableau_snapshots_never_contradict_earlier_letters():
@@ -241,7 +303,13 @@ def test_tableau_snapshots_never_contradict_earlier_letters():
 def test_round_budget_exhaustion_keeps_the_partial_tableau():
     cy = make_cyclic4(theta_geometric(0.5))
     with pytest.raises(MaxRoundsExceeded) as exc:
-        run_algorithm2(cy, 1, StreamKey(seed=0, replication=99), max_rounds=150)
+        run_algorithm2(
+            cy,
+            1,
+            StreamKey(seed=0, replication=99),
+            max_rounds=150,
+            plan=_per_past(cy),
+        )
     tab = exc.value.tableau
     assert tab.round == 150
     assert (tab.target_lo, tab.target_hi) == (-1, 0)
@@ -267,25 +335,30 @@ def _fingerprint(n, snap):
 )
 def test_event_driven_sampler_matches_the_direct_sweep(name, params, ks, seeds):
     kern = build_kernel(name, params)
-    for k in ks:
-        for seed in seeds:
-            key = StreamKey(seed=seed, replication=k)
-            tr_new, tr_ref = [], []
-            xs_n, rec_n = run_algorithm2(
-                kern, k, key, trace=lambda n, s: tr_new.append(_fingerprint(n, s))
-            )
-            xs_r, rec_r = run_algorithm2_ref(
-                kern, k, key, trace=lambda n, s: tr_ref.append(_fingerprint(n, s))
-            )
-            assert xs_n == xs_r, (name, k, seed)
-            assert rec_n.T == rec_r.T, (name, k, seed)
-            assert rec_n.rounds_used == rec_r.rounds_used, (name, k, seed)
-            assert rec_n.uniforms_consumed == rec_r.uniforms_consumed, (
-                name,
-                k,
-                seed,
-            )
-            assert tr_new == tr_ref, (name, k, seed)
+    for shared, k, seed in itertools.product((True, False), ks, seeds):
+        plan = dataclasses.replace(prepare_coalescence(kern), shared=shared)
+        key = StreamKey(seed=seed, replication=k)
+        tr_new, tr_ref = [], []
+        xs_n, rec_n = run_algorithm2(
+            kern,
+            k,
+            key,
+            plan=plan,
+            trace=lambda n, s: tr_new.append(_fingerprint(n, s)),
+        )
+        xs_r, rec_r = run_algorithm2_ref(
+            kern,
+            k,
+            key,
+            plan=plan,
+            trace=lambda n, s: tr_ref.append(_fingerprint(n, s)),
+        )
+        case = (name, shared, k, seed)
+        assert xs_n == xs_r, case
+        assert rec_n.T == rec_r.T, case
+        assert rec_n.rounds_used == rec_r.rounds_used, case
+        assert rec_n.uniforms_consumed == rec_r.uniforms_consumed, case
+        assert tr_new == tr_ref, case
 
 
 def test_horizon_cut_matches_the_uncut_run():
@@ -301,7 +374,11 @@ def test_horizon_cut_matches_the_uncut_run():
         for kk in (kern, uncut):
             tr = []
             xs, rec = run_algorithm2(
-                kk, 0, key, trace=lambda n, s: tr.append(_fingerprint(n, s))
+                kk,
+                0,
+                key,
+                plan=_per_past(kk),
+                trace=lambda n, s: tr.append(_fingerprint(n, s)),
             )
             runs.append((xs, rec.T, rec.rounds_used, rec.uniforms_consumed, tr))
         assert runs[0] == runs[1], rep
@@ -330,7 +407,7 @@ def test_budget_exhaustion_matches_the_direct_sweep():
         outcomes = []
         for fn in (run_algorithm2, run_algorithm2_ref):
             try:
-                fn(cy, 1, key, max_rounds=150)
+                fn(cy, 1, key, max_rounds=150, plan=_per_past(cy))
                 outcomes.append(None)
             except MaxRoundsExceeded as e:
                 outcomes.append((str(e), e.tableau.temp, e.tableau.round))
