@@ -3,22 +3,23 @@
 Round n opens the tableau n steps below the newest target (at time -n
 for targets -k..0): the time's uniform either produces a letter from the
 context-free masses (a spontaneous symbol) or the round fails.  After a
-success the update cascades forward through the still unknown times, each one re-reading its original uniform against the mass
-that the newly revealed letters added.  A letter, once written, is final;
-repeating rounds deeper into the past eventually fills the whole target
-window, and the result is an exact draw from the stationary law.
+success the update cascades forward through the still unknown times,
+each re-reading its original uniform against the mass that the newly
+revealed letters added.  A letter, once written, is final; repeating
+rounds deeper into the past eventually fills the whole target window,
+and the result is an exact draw from the stationary law.
 
 Per-time thresholds are chained: each time remembers the cumulative mass
-its uniform has already cleared, so a later round only stacks the fresh
-increments on top.  This is exactly equivalent to recomputing the whole
-cumulative sum (the increments telescope) but keeps the float comparisons
-identical across rounds.
-
+its uniform has already cleared, and a later round stacks only the fresh
+increments on top (they telescope to the whole cumulative sum).
 ``run_algorithm1`` and ``run_joint_tableau`` run this one pass
-(``_backward``) and differ only in the increment step: the first scans
-alpha over the refined window against the masses kept from each time's
-last scan, the second folds an additive kernel's per-lag weights of the
-newly revealed letters.
+(``_backward``) with the increment step ``_increment`` picks per run.  A
+kernel publishing ``closed_forms["additive_weight"]`` has alpha equal to
+its context-free mass plus one weight per known lag, so a re-read gains
+exactly the newly revealed letters' weights, folded in ascending lag
+order; being no difference of two ascending-order sums, that fold can
+leave a threshold a few ulps off a window scan's.  Other kernels scan
+alpha on the new window against the masses kept from the last scan.
 """
 
 from __future__ import annotations
@@ -144,19 +145,13 @@ def _backward(kernel, lo, hi, uniforms, max_rounds, step):
 
 
 def _cached_increment(kernel):
-    """run_algorithm1's increment step, with each open time's last scan kept.
-
-    A still-unknown time t re-reads its uniform against the window back
-    to the round start, stacked on the start-of-round view of it: the same
-    window with this round's letters starred.  Up to trailing stars that
-    view is exactly the window t scanned at its previous step, or the
-    empty window if t has not been scanned since it opened: the cascade
-    runs oldest first, and the failed rounds in between only add stars
-    older than t's last window.  So the step keeps, per open time, that
-    window and its alpha masses, and evaluates alpha on the new window
-    only.  Letter order, increments, the "decreased" raise, the clamp and
-    the early return are ``_scan_increment``'s, on the same alpha values,
-    so thresholds and symbols agree with it to the bit.
+    """The scan step: alpha on the window back to the round start, stacked
+    on the masses of t's start-of-round view.  Up to trailing stars that
+    view is the window t scanned at its previous step, or the empty window
+    (the cascade runs oldest first and failed rounds only add older stars),
+    so only the new window is evaluated.  Letter order, the "decreased"
+    raise, the clamp and the early return are ``_scan_increment``'s, on the
+    same alpha values, so thresholds and symbols agree with it to the bit.
     """
     letters = kernel.alphabet
     alpha = kernel.alpha
@@ -200,6 +195,25 @@ def _cached_increment(kernel):
     return step
 
 
+def _increment(kernel):
+    """The increment step of one run on ``kernel`` (see the module docstring)."""
+    weight, letters = kernel.closed_forms.get("additive_weight"), kernel.alphabet
+    if weight is None or letters is None:
+        return _cached_increment(kernel)
+
+    def fold(temp, t, u, acc, newly):
+        for g in letters:
+            d = 0.0
+            for src, v in reversed(newly):  # ascending lag order
+                d += weight(g, t - src, v)
+            acc += d
+            if u < acc:
+                return g, acc
+        return STAR, acc
+
+    return fold
+
+
 def run_algorithm1(
     kernel: KernelSpec,
     k: int,
@@ -216,14 +230,17 @@ def run_algorithm1(
     ``uniform_at(key.at(t))``.
 
     Requires beta(empty) > 0: some letter must be producible with no
-    context, else no round can ever succeed.
+    context, else no round can ever succeed.  With ``additive_weight`` the
+    cascade folds the revealed letters' weights (exact, alpha being additive
+    over known lags; its floats may differ from an alpha scan's in the last
+    bits); other kernels scan alpha (``_cached_increment``).
     """
     if k < 0:
         raise ValueError("k >= 0 required")
     if uniforms is None:
         uniforms = keyed_uniforms(key)
     temp, T, rounds, consumed = _backward(
-        kernel, -k, 0, uniforms, max_rounds, _cached_increment(kernel)
+        kernel, -k, 0, uniforms, max_rounds, _increment(kernel)
     )
     record = StoppingRecord(
         T={t: T[t] for t in range(-k, 1)},
@@ -255,33 +272,16 @@ def run_auxiliary_chain(kernel: KernelSpec, n: int, key: StreamKey, uniforms=Non
 def run_joint_tableau(
     kernel: KernelSpec, top: int, key: StreamKey, max_extra_rounds: int = 10**6
 ):
-    """One coupled backward pass resolving every time 0..top at once.
+    """One backward pass resolving every time 0..top at once.
 
     Returns (vals, T): vals[t] letters for all targets, T[t] the start
-    time of the resolving round (== the per-time stopping time).  Needs
-    an additive kernel: closed_forms["additive_weight"](g, lag, letter)
-    must give alpha's exact per-position contribution, so each round can
-    stack only the mass the newly revealed letters added instead of
-    re-evaluating whole windows.  The round loop is run_algorithm1's,
-    with this fold as its increment step, hence the same per-time stopping
-    law; a ``MaxRoundsExceeded`` tableau counts rounds below ``top``.
+    time of the resolving round (== the per-time stopping time).  It is
+    run_algorithm1 over targets -top..0 on the stream shifted up by top,
+    in the 0..top frame, for kernels with the additive_weight hook only;
+    a ``MaxRoundsExceeded`` tableau counts rounds below ``top``.
     """
-    weight = kernel.closed_forms.get("additive_weight")
-    if weight is None:
+    if "additive_weight" not in kernel.closed_forms:
         raise ValueError(f"{kernel.name} exposes no additive_weight hook")
-    letters = kernel.alphabet
-
-    def step(temp, t, u, acc, newly):
-        for g in letters:
-            d = 0.0
-            for src, v in reversed(newly):  # ascending lag order
-                d += weight(g, t - src, v)
-            acc += d
-            if u < acc:
-                return g, acc
-        return STAR, acc
-
-    vals, T, _, _ = _backward(
-        kernel, 0, top, keyed_uniforms(key), max_extra_rounds, step
-    )
-    return vals, T
+    return _backward(
+        kernel, 0, top, keyed_uniforms(key), max_extra_rounds, _increment(kernel)
+    )[:2]

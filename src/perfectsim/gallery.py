@@ -132,14 +132,17 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
         raise ValueError("delta in [0,1] required")
     t0 = theta.theta(0)
     base = {0: t0 * delta, 1: t0 * (1.0 - delta)}
-    lag_weights = []  # lag_weights[j] = theta_{j+1}, grown to the longest window seen
+    lag_weights = []  # lag_weights[j] = theta_{j+1}, grown to the longest lag used
+
+    def grow(n):
+        lag_weights.extend(theta.theta(j + 1) for j in range(len(lag_weights), n))
 
     def alpha(g, w: Window) -> float:
         if g not in (0, 1):
             return 0.0
         n = len(w)
         if len(lag_weights) < n:
-            lag_weights.extend(theta.theta(j + 1) for j in range(len(lag_weights), n))
+            grow(n)
         acc = base[g]
         for x, wt in zip(w, lag_weights):  # STAR never equals a letter
             if x == g:
@@ -155,8 +158,12 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
             out *= 1.0 - theta.s(j)
         return out
 
-    def additive_weight(g, lag, letter):
-        return theta.theta(lag) if letter == g else 0.0
+    def additive_weight(g, lag, letter):  # lag >= 1, as in alpha's table
+        if letter != g:
+            return 0.0
+        if len(lag_weights) < lag:
+            grow(lag)
+        return lag_weights[lag - 1]
 
     return KernelSpec(
         name="autoregressive",

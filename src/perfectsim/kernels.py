@@ -260,15 +260,19 @@ def validate_kernel(kernel: KernelSpec, trials: int, rng_seed: int) -> Validatio
     star-refinement and under appending symbols, both probed only inside
     the admissible-history region (revealing a star with an arbitrary
     letter can produce a window no admissible history matches, where the
-    envelope has nothing left to bound); trailing-star equality; and the
-    sampler partition (STAR iff u >= beta(w), bit-exact).  Any breach
-    beyond TOL lands in ``violations`` with the offending triple.
+    envelope has nothing left to bound); trailing-star equality; the
+    sampler partition (STAR iff u >= beta(w), bit-exact); and, for a kernel
+    publishing ``closed_forms["additive_weight"]``, which the spontaneous
+    sampler folds instead of alpha, that alpha(g, w) is alpha(g, ()) plus
+    the weights of w's known letters.  Any breach beyond TOL lands in
+    ``violations`` with the offending triple.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
     rng = random.Random(rng_seed)
     rep = ValidationReport(kernel.name, trials, rng_seed)
     letters_cap = 12
+    weight = kernel.closed_forms.get("additive_weight")
 
     for _ in range(trials):
         w = (
@@ -306,6 +310,17 @@ def validate_kernel(kernel: KernelSpec, trials: int, rng_seed: int) -> Validatio
                 rep.violations.append(
                     f"alpha({g!r}|{w!r}) = {a0} > 0 outside positive_letters"
                 )
+
+        if weight is not None:
+            for g in letters:
+                folded = kernel.alpha(g, ())
+                for j, x in known_positions(cw):
+                    folded += weight(g, j + 1, x)
+                a = kernel.alpha(g, cw)
+                if abs(a - folded) > TOL:
+                    rep.violations.append(
+                        f"additive_weight fold {folded} != alpha({g!r}|{cw!r}) = {a}"
+                    )
 
         # refinement / extension probes: monotonicity only holds while the
         # probed window keeps at least one admissible history, so reveal

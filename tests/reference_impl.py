@@ -1,7 +1,7 @@
 """Rebuild-everything references for both backward samplers.
 
 These are the obvious-by-construction forms and exist only as test
-oracles: the production samplers must stay bit-identical to them
+oracles: the production samplers must agree with them on every decision
 (symbols, stopping map, round and uniform counts, and the tableau of a
 run cut short).
 
@@ -14,7 +14,11 @@ run cut short).
 - ``run_algorithm1_ref`` runs the spontaneous-symbol round loop with an
   increment step that rebuilds both windows of every re-read and scans
   alpha on each, where ``run_algorithm1`` keeps each open time's last
-  scan.
+  scan.  On a kernel that publishes ``additive_weight``,
+  ``run_algorithm1`` folds the revealed letters' weights instead, whose
+  thresholds may differ from these scans in the last bits, so there the
+  reference pins decisions (letters, stopping map, counts, cut tableau),
+  not threshold bits.
 """
 
 from perfectsim.backward import (

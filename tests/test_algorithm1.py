@@ -1,5 +1,6 @@
 """Spontaneous-symbol backward sampler: exact traces, contracts, and laws."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -140,10 +141,9 @@ def test_joint_tableau_budget_counts_rounds_like_algorithm1():
     ids=lambda th: th.label,
 )
 def test_joint_tableau_matches_algorithm1_on_the_same_uniforms(theta):
-    # the joint tableau's additive-weight fold and algorithm 1's generic
-    # increment scan are two steps of one round loop: targets 0..k read
-    # the same uniforms as algorithm 1's -k..0 shifted up by k, so letters
-    # and stopping times agree exactly
+    # the joint tableau is algorithm 1 with the same increment step in the
+    # 0..k frame: targets 0..k read the same uniforms as algorithm 1's
+    # -k..0 shifted up by k, so letters and stopping times agree exactly
     au = make_autoregressive(theta, 0.3)
     for k in (0, 3, 20):
         for rep in range(100):
@@ -192,10 +192,11 @@ def _outcome(run, kernel, k, key, **kw):
     ],
 )
 def test_cached_increment_matches_the_rebuilt_windows(name, params):
-    # run_algorithm1 reads each open time's old masses from its last scan;
-    # the reference rebuilds both windows and scans alpha on each.  Equal
-    # masses give equal thresholds, so every decision agrees, including
-    # the partial tableau of a run cut short by its round budget
+    # run_algorithm1 reads each open time's old masses from its last scan
+    # (on autoregressive it folds the additive weights instead); the
+    # reference rebuilds both windows and scans alpha on each.  Every
+    # decision agrees, including the partial tableau of a run cut short by
+    # its round budget
     kernel = build_kernel(name, params)
     for k in (0, 1, 5, 30):
         for rep in range(25):
@@ -208,6 +209,52 @@ def test_cached_increment_matches_the_rebuilt_windows(name, params):
             assert _outcome(run_algorithm1, kernel, k, key, max_rounds=3) == _outcome(
                 run_algorithm1_ref, kernel, k, key, max_rounds=3
             ), (k, rep)
+
+
+def _window_scan(kernel):
+    """A copy of ``kernel`` without the additive_weight hook, so that
+    run_algorithm1 scans alpha on the windows instead of folding weights."""
+    forms = {k: v for k, v in kernel.closed_forms.items() if k != "additive_weight"}
+    return dataclasses.replace(kernel, closed_forms=forms)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        theta_geometric(0.5),
+        theta_geometric(0.8),
+        theta_list([0.5, 0.3, 0.2]),
+        theta_polynomial(0.3),
+    ],
+    ids=lambda th: th.label,
+)
+def test_additive_fold_matches_the_window_scan(theta):
+    # the fold stacks the revealed letters' weights, the scan the difference
+    # of alpha on two windows: equal in exact arithmetic, so on the same
+    # uniforms every decision agrees, whatever the last bits of a threshold
+    fold = make_autoregressive(theta, 0.3)
+    scan = _window_scan(fold)
+    for k in (0, 3, 20):
+        for rep in range(100):
+            key = StreamKey(seed=31, replication=rep)
+            assert _outcome(run_algorithm1, fold, k, key) == _outcome(
+                run_algorithm1, scan, k, key
+            ), (k, rep)
+            assert _outcome(run_algorithm1, fold, k, key, max_rounds=3) == _outcome(
+                run_algorithm1, scan, k, key, max_rounds=3
+            ), (k, rep)
+
+
+def test_additive_fold_matches_the_window_scan_on_deep_draws():
+    # the draws of the benchmark's deep workload, whose depths reach about
+    # 190, so thresholds pile up hundreds of folded increments
+    fold = make_autoregressive(theta_geometric(0.8), 0.3)
+    scan = _window_scan(fold)
+    for rep in range(1000):
+        key = StreamKey(seed=1, replication=rep)
+        assert _outcome(run_algorithm1, fold, 0, key) == _outcome(
+            run_algorithm1, scan, 0, key
+        ), rep
 
 
 def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
@@ -270,7 +317,8 @@ _BROKEN_KERNELS = textwrap.dedent(
     assert not __debug__
     nan = float("nan")
     # context-free masses are fine, every mass that needs a context is NaN,
-    # which slips past the [0, 1] range check and poisons the thresholds
+    # which slips past the [0, 1] range check and poisons the thresholds;
+    # run_algorithm1 folds the hook's weights, and scans alpha without it
     spont = KernelSpec(
         name="nan-context",
         parameters={},
@@ -278,6 +326,7 @@ _BROKEN_KERNELS = textwrap.dedent(
         alpha=lambda g, w: 0.1 if not canon(w) else nan,
         closed_forms={"additive_weight": lambda g, lag, v: nan},
     )
+    spont_scan = dataclasses.replace(spont, closed_forms={})
     cy = make_cyclic4(theta_geometric(0.5))
     coupled = dataclasses.replace(
         cy, alpha=lambda g, w: nan if len(canon(w)) > 3 else cy.alpha(g, w)
@@ -292,6 +341,9 @@ _BROKEN_KERNELS = textwrap.dedent(
     runs = {
         "run_algorithm1": lambda r: run_algorithm1(
             spont, 0, StreamKey(1, r), max_rounds=300
+        ),
+        "run_algorithm1-scan": lambda r: run_algorithm1(
+            spont_scan, 0, StreamKey(1, r), max_rounds=300
         ),
         "run_joint_tableau": lambda r: run_joint_tableau(
             spont, 0, StreamKey(1, r), max_extra_rounds=300
@@ -322,10 +374,10 @@ _BROKEN_KERNELS = textwrap.dedent(
 
 
 def test_threshold_checks_run_under_python_O():
-    # the chained-threshold checks of all three samplers (the coupled one
-    # under both couplings) and the increment step's "decreased" check are
-    # raises, not asserts, so a broken kernel is still caught with
-    # assertions stripped
+    # the chained-threshold checks of all three samplers (the spontaneous
+    # one under both increment steps, the coupled one under both couplings)
+    # and the scan step's "decreased" check are raises, not asserts, so a
+    # broken kernel is still caught with assertions stripped
     src = os.path.dirname(os.path.dirname(perfectsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -339,14 +391,15 @@ def test_threshold_checks_run_under_python_O():
     lines = out.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
         "run_algorithm1",
+        "run_algorithm1-scan",
         "run_joint_tableau",
         "run_algorithm2",
         "run_algorithm2-per-past",
         "run_algorithm1-shrinking",
     ], out.stdout
     assert all("tripped:" in line for line in lines), out.stdout
-    assert all("threshold nan" in line for line in lines[:4]), out.stdout
-    assert "decreased by" in lines[4], out.stdout
+    assert all("threshold nan" in line for line in lines[:5]), out.stdout
+    assert "decreased by" in lines[5], out.stdout
 
 
 def test_replay_is_bit_identical_and_replications_are_separate():

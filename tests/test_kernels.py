@@ -1,6 +1,7 @@
 """Window helpers, cumulative scans, the two-stage increment scan, and the
 randomized contract checker."""
 
+import dataclasses
 import math
 import pickle
 
@@ -229,6 +230,27 @@ def test_validator_catches_refinement_violations():
     assert not report.passed
     assert report.violations
     assert any("refinement" in str(v) for v in report.violations)
+
+
+def test_validator_checks_the_additive_weight_hook():
+    # run_algorithm1 folds additive_weight instead of scanning alpha, so a
+    # hook that disagrees with alpha is flagged; the true hook is clean, and
+    # the check adds no trial to checks_run
+    au = _autoreg()
+    theta = au.closed_forms["theta"]
+    doubled = dataclasses.replace(
+        au,
+        closed_forms=dict(
+            au.closed_forms,
+            additive_weight=lambda g, lag, v: 2.0 * theta(lag) if v == g else 0.0,
+        ),
+    )
+    clean = validate_kernel(au, trials=200, rng_seed=7)
+    assert clean.passed and clean.checks_run == 200
+    report = validate_kernel(doubled, trials=200, rng_seed=7)
+    assert report.checks_run == 200
+    assert report.violations
+    assert all(v.startswith("additive_weight fold") for v in report.violations)
 
 
 def test_validator_requires_at_least_one_trial():
