@@ -24,9 +24,18 @@ alpha on the new window against the masses kept from the last scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .kernels import STAR, TOL, KernelContractViolation, KernelSpec, _scan
+from .kernels import (
+    STAR,
+    KernelContractViolation,
+    KernelSpec,
+    _pick,
+    _scan,
+    _stack,
+    _table,
+)
 from .streams import StreamKey, keyed_uniforms
 
 
@@ -79,21 +88,28 @@ def threshold_violation(kernel, t, u, threshold) -> KernelContractViolation:
     )
 
 
-def _backward(kernel, lo, hi, uniforms, max_rounds, step):
+def _backward(kernel, lo, hi, uniforms, max_rounds, step=None):
     """The round loop both spontaneous-symbol samplers share.
 
-    Round r opens time hi - r.  A spontaneous letter there re-reads every
-    still-unknown newer time, oldest first, through ``step(temp, t, u,
-    threshold, newly)``: the scan of the mass this round's letters added,
-    stacked on t's chained threshold, returning (symbol, new threshold).
-    ``newly`` lists this round's (time, letter) pairs so far, oldest first.
-    Returns (temp, T, rounds, uniforms consumed) once lo..hi are all known.
+    Round r opens time hi - r with a pick from the empty window's table,
+    which is scanned once per run.  A spontaneous letter there re-reads
+    every still-unknown newer time, oldest first, through ``step(temp, t,
+    u, threshold, newly)``: the scan of the mass this round's letters
+    added, stacked on t's chained threshold, returning (symbol, new
+    threshold).  ``newly`` lists this round's (time, letter) pairs so far,
+    oldest first.  ``step=None`` takes the run's own step (``_increment``),
+    which shares the empty window's table.  Returns (temp, T, rounds,
+    uniforms consumed) once lo..hi are all known.
     """
-    if kernel.beta(()) <= 0.0:
+    empty = _table(kernel, ())
+    beta = _pick(empty, math.inf)[1]
+    if beta <= 0.0:
         raise BetaZeroForAlgo1(
-            f"{kernel.name}: beta(empty) = {kernel.beta(())}; "
+            f"{kernel.name}: beta(empty) = {beta}; "
             "the spontaneous-symbol route needs it positive"
         )
+    if step is None:
+        step = _increment(kernel, empty)
     temp: dict = {}
     thr: dict = {}
     us: dict = {}  # each time's uniform, read once when its round opens
@@ -110,7 +126,7 @@ def _backward(kernel, lo, hi, uniforms, max_rounds, step):
             )
         s = hi - r
         us[s] = uniforms(s)
-        sym, total = _scan(kernel, us[s], ())
+        sym, total = _pick(empty, us[s])
         if sym is STAR:
             # failed round: the deeper star adds no information, but the
             # uniform at s is burned
@@ -144,18 +160,16 @@ def _backward(kernel, lo, hi, uniforms, max_rounds, step):
         r += 1
 
 
-def _cached_increment(kernel):
-    """The scan step: alpha on the window back to the round start, stacked
-    on the masses of t's start-of-round view.  Up to trailing stars that
-    view is the window t scanned at its previous step, or the empty window
-    (the cascade runs oldest first and failed rounds only add older stars),
-    so only the new window is evaluated.  Letter order, the "decreased"
-    raise, the clamp and the early return are ``_scan_increment``'s, on the
-    same alpha values, so thresholds and symbols agree with it to the bit.
+def _cached_increment(kernel, empty):
+    """The scan step: ``_stack`` of alpha on the window back to the round
+    start over the masses of t's start-of-round view.  Up to trailing stars
+    that view is the window t scanned at its previous step, or the empty
+    window (the cascade runs oldest first and failed rounds only add older
+    stars), whose masses come from the run's table ``empty``; so only the
+    new window is evaluated, on the same alpha values as
+    ``_scan_increment``, and thresholds and symbols agree with it to the bit.
     """
-    letters = kernel.alphabet
-    alpha = kernel.alpha
-    empty = ((), {})  # the empty window's masses, shared and filled on demand
+    start = ((), empty[2])
     cache: dict = {}  # open time -> (window of its last scan, masses by letter)
 
     def step(temp, t, u, threshold, newly):
@@ -164,42 +178,21 @@ def _cached_increment(kernel):
         # tuple grown from an iterator is resized, and freed ones pile up in
         # the interpreter's free lists (+3.6 MB peak over 1 000 deep runs)
         w_new = tuple([temp[j] for j in range(t - 1, newly[0][0] - 1, -1)])
-        w_old, old = cache.pop(t, empty)
-        if letters is None:
-            scan = sorted(
-                set(kernel.positive_letters(w_new)) | set(kernel.positive_letters(w_old))
-            )
-        else:
-            scan = letters
-        new = {}
-        acc = threshold
-        for g in scan:
-            a = new[g] = alpha(g, w_new)
-            b = old.get(g)
-            if b is None:  # a letter the last scan did not reach
-                b = old[g] = alpha(g, w_old)
-            d = a - b
-            if d < -TOL:
-                raise KernelContractViolation(
-                    f"{kernel.name}: alpha({g!r}|·) decreased by {-d} when the "
-                    f"window was refined from {w_old!r} to {w_new!r}"
-                )
-            if d < 0.0:
-                d = 0.0
-            acc += d
-            if u < acc:
-                return g, acc
-        cache[t] = (w_new, new)
-        return STAR, acc
+        w_old, old = cache.pop(t, start)
+        g, acc, new = _stack(kernel, u, threshold, w_new, w_old, old)
+        if g is STAR:
+            cache[t] = (w_new, new)
+        return g, acc
 
     return step
 
 
-def _increment(kernel):
-    """The increment step of one run on ``kernel`` (see the module docstring)."""
+def _increment(kernel, empty):
+    """The increment step of one run on ``kernel`` (see the module
+    docstring); ``empty`` is the run's empty-window table."""
     weight, letters = kernel.closed_forms.get("additive_weight"), kernel.alphabet
     if weight is None or letters is None:
-        return _cached_increment(kernel)
+        return _cached_increment(kernel, empty)
 
     def fold(temp, t, u, acc, newly):
         for g in letters:
@@ -239,9 +232,7 @@ def run_algorithm1(
         raise ValueError("k >= 0 required")
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-    temp, T, rounds, consumed = _backward(
-        kernel, -k, 0, uniforms, max_rounds, _increment(kernel)
-    )
+    temp, T, rounds, consumed = _backward(kernel, -k, 0, uniforms, max_rounds)
     record = StoppingRecord(
         T={t: T[t] for t in range(-k, 1)},
         rounds_used=rounds,
@@ -282,6 +273,4 @@ def run_joint_tableau(
     """
     if "additive_weight" not in kernel.closed_forms:
         raise ValueError(f"{kernel.name} exposes no additive_weight hook")
-    return _backward(
-        kernel, 0, top, keyed_uniforms(key), max_extra_rounds, _increment(kernel)
-    )[:2]
+    return _backward(kernel, 0, top, keyed_uniforms(key), max_extra_rounds)[:2]

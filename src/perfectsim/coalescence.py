@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -39,11 +38,12 @@ from .backward import (
 )
 from .kernels import (
     STAR,
-    TOL,
     KernelContractViolation,
     KernelSpec,
-    _scan,
-    _scan_increment,
+    _pick,
+    _stack,
+    _table,
+    canon,
 )
 from .streams import StreamKey, keyed_uniforms
 
@@ -276,33 +276,6 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
     )
 
 
-def _cum_table(kernel: KernelSpec, ctx: tuple):
-    """(letters, cumulative masses) of one context: the same letter order,
-    accumulation and bounds check as _scan, so a bisect on it is
-    bit-identical to scanning."""
-    lets = []
-    cum = []
-    acc = 0.0
-    for g in kernel.letters_for(ctx):
-        a = kernel.alpha(g, ctx)
-        if a < -TOL or a > 1.0 + TOL:
-            raise KernelContractViolation(
-                f"{kernel.name}: alpha({g!r}|{ctx!r}) = {a} outside [0,1]"
-            )
-        acc += a
-        lets.append(g)
-        cum.append(acc)
-    return lets, cum
-
-
-def _bisect_letter(tab, u):
-    lets, cum = tab
-    i = bisect_right(cum, u)
-    if i < len(cum):
-        return lets[i], cum[i]
-    return STAR, (cum[-1] if cum else 0.0)
-
-
 def phase1_agreement(
     kernel: KernelSpec, analysis: MarkovAnalysis, n0: int
 ) -> float:
@@ -324,14 +297,14 @@ def phase1_agreement(
         for c in ctxs:
             tab = tables.get(c)
             if tab is None:
-                tab = tables[c] = _cum_table(kernel, c)
+                tab = tables[c] = _table(kernel, c)
             tabs.append(tab)
         cuts = sorted(
-            {0.0, 1.0} | {min(max(c, 0.0), 1.0) for _, cum in tabs for c in cum}
+            {0.0, 1.0} | {min(max(c, 0.0), 1.0) for _, cum, _ in tabs for c in cum}
         )
         total = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
-            syms = [_bisect_letter(tab, lo)[0] for tab in tabs]
+            syms = [_pick(tab, lo)[0] for tab in tabs]
             agree = syms[0] is not STAR and syms.count(syms[0]) == len(syms)
             if j >= n0 - nhat and not agree:
                 continue
@@ -469,7 +442,7 @@ def run_algorithm2(
     ttil: dict = {}
     traj: dict = {}  # (z, pid) -> {time: (symbol, scan total)}
     first_done: dict = {}  # z -> round when the left context completed
-    tables: dict = {}  # short context -> cumulative alpha thresholds
+    tables: dict = {}  # phase-1 context -> its _table
     unresolved: dict = {}  # window z -> count of STAR positions
     b_ready: dict = {}  # window z -> its completed left context
     active: set = set()  # b known and unresolved positions remain
@@ -490,13 +463,6 @@ def run_algorithm2(
             u = ucache[kk] = uniforms(*kk)
             ucount += 1
         return u
-
-    def _tscan(u, ctx):
-        # bit-identical to _scan, with the table cached per context
-        tab = tables.get(ctx)
-        if tab is None:
-            tab = tables[ctx] = _cum_table(kernel, ctx)
-        return _bisect_letter(tab, u)
 
     def _resolved(t):
         """Bookkeeping after temp[t] turned into a letter."""
@@ -592,7 +558,10 @@ def run_algorithm2(
             tvals = {}
             for t in range(lo, hi + 1):
                 ctx = tuple(tvals[j][0] for j in range(t - 1, lo - 1, -1)) + a
-                tvals[t] = _tscan(_u(t, pid), ctx)
+                tab = tables.get(ctx)
+                if tab is None:
+                    tab = tables[ctx] = _table(kernel, ctx)
+                tvals[t] = _pick(tab, _u(t, pid))
             traj[(n, pid)] = tvals
         unresolved[n] = n0
         for t in range(lo, hi + 1):
@@ -642,11 +611,16 @@ def run_algorithm2(
                     )
                 else:
                     base = thr[t]
-                    w_old = _context(t, l(n - 1), _prevval)
+                    w_old = canon(_context(t, l(n - 1), _prevval))
                 if not u >= base:
                     raise threshold_violation(kernel, t, u, base)
-                w_new = _context(t, lo, temp.__getitem__)
-                sym, acc = _scan_increment(kernel, u, w_new, w_old, base)
+                w_new = canon(_context(t, lo, temp.__getitem__))
+                # a first sweep's old window is trajectory b's phase-1
+                # context, whose masses its table already holds
+                old = tables.get(w_old)
+                sym, acc, _ = _stack(
+                    kernel, u, base, w_new, w_old, {} if old is None else old[2]
+                )
                 if sym is STAR:
                     thr[t] = acc
                 else:

@@ -199,66 +199,24 @@ def make_imitation(c_seq, truncation: Optional[int] = None) -> KernelSpec:
     """Letters >= 1; the last letter sets how far back the chain imitates.
 
     p(g | x) = c_g + (1-c) * #{1 <= k <= x_{-1} : x_{-k} = g} / x_{-1}
-    (the window back to lag x_{-1}, which includes x_{-1} itself).  With
+    (the window back to lag x_{-1}, which includes x_{-1} itself): the
+    profile kernel with the uniform lookback f_m = (1/m, ..., 1/m).  With
     x_{-1} unknown the lookback is unbounded, the copy frequency can be
     pushed to 0, and alpha collapses to the spontaneous mass c_g; with
     ``truncation`` K the alphabet becomes {1..K} and the infimum is a
     genuine minimum over the K possible lookbacks.
     """
-    c = _c_support(c_seq)
-    ctot = math.fsum(c)
-    rest = 1.0 - ctot
-
-    def base(g):
-        return c[g - 1] if 1 <= g <= len(c) else 0.0
-
-    if truncation is not None:
-        if truncation < max(2, len(c)):
-            raise ValueError("truncation must be >= max(2, len(c))")
-        letters = tuple(range(1, truncation + 1))
-    else:
-        letters = None
-
-    def _freq(g, w, m):
-        # copy frequency toward g when x_{-1} is (hypothesized) m:
-        # lag 1 is x_{-1}=m itself, lags 2..m read the window, stars and
-        # positions beyond the window count 0 (adversary avoids g).
-        k = 1 if m == g else 0
-        for j in range(1, min(m, len(w))):
-            if w[j] == g:
-                k += 1
-        return k / m
-
-    def alpha(g, w: Window) -> float:
-        w = canon(w)
-        if letters is not None and not (1 <= g <= truncation):
-            return 0.0
-        if g < 1:
-            return 0.0
-        if w and w[0] is not STAR:
-            return base(g) + rest * _freq(g, w, w[0])
-        if letters is None:
-            return base(g)  # unbounded lookback: inf frequency = 0
-        return base(g) + rest * min(_freq(g, w, m) for m in letters)
-
-    def positive(w: Window) -> tuple:
-        w = canon(w)
-        out = set(range(1, len(c) + 1))
-        out.update(x for x in w if x is not STAR)
-        return tuple(sorted(out))
-
+    kernel = make_imitation_general(c_seq, uniform_lookback, truncation)
+    c = kernel.parameters["c"]
     sfx = [0.0] * (len(c) + 1)
     for j in range(len(c) - 1, -1, -1):
         sfx[j] = c[j] + sfx[j + 1]
-
-    return KernelSpec(
-        name="imitation",
-        parameters={"c": c, "truncation": truncation},
-        alphabet=letters,
-        alpha=alpha,
-        positive_letters=None if letters is not None else positive,
-        closed_forms={"c": c, "s_c": lambda m: sfx[m - 1] if m <= len(c) else 0.0},
-    )
+    kernel.name = "imitation"
+    kernel.closed_forms = {
+        "c": c,
+        "s_c": lambda m: sfx[m - 1] if m <= len(c) else 0.0,
+    }
+    return kernel
 
 
 def make_imitation_general(
@@ -287,14 +245,12 @@ def make_imitation_general(
         letters = None
 
     def _match(g, w, m):
+        # lag 1 is x_{-1} = m itself, lags 2.. read the window; stars and
+        # lags beyond it add nothing (the adversary avoids g there)
         f = f_family(m)
-        acc = 0.0
-        for k in range(1, len(f) + 1):
-            if k == 1:
-                hit = m == g
-            else:
-                hit = k - 1 < len(w) and w[k - 1] == g
-            if hit:
+        acc = f[0] if m == g else 0.0
+        for k in range(2, min(len(f), len(w)) + 1):
+            if w[k - 1] == g:
                 acc += f[k - 1]
         return acc
 
@@ -665,6 +621,24 @@ def make_graph_walk(adjacency: dict, theta: ThetaWeights) -> KernelSpec:
 # run-length kernels (negative controls for the coalescence route)
 
 
+def _run_lengths(w: Window, v) -> tuple:
+    """Run lengths of x_{-1} = v that the canonical window w allows.
+
+    Returns (taus, unbounded): taus, ascending, are the lengths
+    tau <= len(w) such that slots 1..tau can all hold v and slot tau + 1
+    can break the run (a star, another letter, or past the window);
+    ``unbounded`` says every slot of w can hold v, so every tau > len(w)
+    is allowed too.  One pass over w.
+    """
+    taus = []
+    for j, x in enumerate(w):
+        if x is not STAR and x != v:
+            return taus, False
+        if j + 1 == len(w) or w[j + 1] != v:
+            taus.append(j + 1)
+    return taus, True
+
+
 def make_flipflop(r: Callable[[int], float]) -> KernelSpec:
     """Binary kernel that holds its value with run-length-increasing odds.
 
@@ -675,51 +649,18 @@ def make_flipflop(r: Callable[[int], float]) -> KernelSpec:
     the coalescence route must reject this kernel.
     """
 
-    def _tau_range(w: Window, v) -> Optional[tuple]:
-        """(tau_min, tau_max) consistent with x_{-1}=v; tau_max=None if unbounded."""
-        w = canon(w)
-        if w and w[0] is not STAR and w[0] != v:
-            return None
-        taus = []
-        run_extends = True  # positions 1..j so far can all be v
-        for j in range(1, len(w) + 2):
-            if not run_extends:
-                break
-            if j <= len(w):
-                can_v = w[j - 1] is STAR or w[j - 1] == v
-            else:
-                can_v = True
-            if j == 1:
-                if not can_v:
-                    return None
-                run_extends = True
-            else:
-                run_extends = run_extends and can_v
-            if not run_extends:
-                break
-            # tau = j needs position j+1 to differ (or be free)
-            if j + 1 <= len(w):
-                breakable = w[j] is STAR or w[j] != v
-            else:
-                breakable = True
-            if breakable:
-                taus.append(j)
-            if j == len(w) + 1:
-                return (taus[0], None) if taus else None
-        return (taus[0], taus[-1]) if taus else None
-
     def alpha(g, w: Window) -> float:
         if g not in (0, 1):
             return 0.0
         w = canon(w)
         best = None
-        rng_hold = _tau_range(w, g)
-        if rng_hold is not None:
-            val = r(rng_hold[0])  # r increases: min at smallest tau
-            best = val if best is None else min(best, val)
-        rng_flip = _tau_range(w, 1 - g)
-        if rng_flip is not None:
-            val = 0.0 if rng_flip[1] is None else 1.0 - r(rng_flip[1])
+        taus, unbounded = _run_lengths(w, g)
+        if taus or unbounded:
+            # r increases: min at the smallest tau, len(w) + 1 when w is empty
+            best = r(taus[0] if taus else len(w) + 1)
+        taus, unbounded = _run_lengths(w, 1 - g)
+        if taus or unbounded:
+            val = 0.0 if unbounded else 1.0 - r(taus[-1])
             best = val if best is None else min(best, val)
         return 0.0 if best is None else best
 
@@ -795,38 +736,20 @@ def make_three_letter_alternating(
             admissible_window=admissible,
         )
 
-    def _tau_set(w: Window, v):
-        """Consistent run lengths for x_{-1}=v; (finite_list, unbounded?)."""
-        w = canon(w)
-        if w and w[0] is not STAR and w[0] != v:
-            return [], False
-        taus = []
-        for j in range(1, len(w) + 1):
-            can_run = all(w[i] is STAR or w[i] == v for i in range(min(j, len(w))))
-            if not can_run:
-                break
-            if j + 1 <= len(w):
-                breakable = w[j] is STAR or w[j] != v
-            else:
-                breakable = True
-            if breakable:
-                taus.append(j)
-        all_v = all(x is STAR or x == v for x in w)
-        return taus, all_v
-
     def alpha(g, w: Window) -> float:
         if g not in letters:
             return 0.0
         w = canon(w)
         best = None
-        taus, _ = _tau_set(w, g)  # larger taus only increase r: finite list suffices
+        # larger taus only increase r: the finite list suffices
+        taus, _ = _run_lengths(w, g)
         for t in taus:
             val = _r(t)
             best = val if best is None else min(best, val)
         for v in letters:
             if v == g:
                 continue
-            taus, unbounded = _tau_set(w, v)
+            taus, unbounded = _run_lengths(w, v)
             if unbounded:
                 best = 0.0 if best is None else min(best, 0.0)
                 continue

@@ -7,15 +7,23 @@ infimum of the one-step transition probability to ``g`` over all infinite
 admissible histories compatible with the known letters of ``w`` — their
 sum ``beta(w)``, and an admissibility predicate on star-free windows.
 
-All cumulative scans run in the declared alphabet order and are
-float-deterministic: the same ``u`` and window always reproduce the same
-symbol, which is what lets the backward samplers revisit a time in later
-rounds without ever contradicting an earlier decision.
+Every sampler turns a uniform into a symbol through three primitives.
+``_table(kernel, w)`` is the one full scan: alpha on ``letters_for(w)`` in
+ascending order, bounds-checked and summed in that order.  ``_pick(table,
+u)`` bisects it for the first letter whose cumulative mass exceeds u (a
+tie goes to the next letter), or STAR and the total.  ``_stack`` is the
+one increment scan, re-reading u against the mass a refined window adds.
+All three are float-deterministic: the same ``u`` and window always
+reproduce the same symbol, which is what lets the backward samplers
+revisit a time in later rounds without ever contradicting an earlier
+decision.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -106,25 +114,91 @@ class KernelSpec:
         return self.positive_letters(w)
 
 
-def _scan(kernel: KernelSpec, u: Optional[float], w: Window):
-    """Cumulative alpha scan in alphabet order.
+def _table(kernel: KernelSpec, w: Window):
+    """(letters, cumulative masses, masses by letter) of window w.
 
-    Returns (symbol, total): the first letter whose cumulative mass
-    exceeds u (or STAR if the scan exhausts), and the accumulated total
-    at return time.  With u=None the scan runs to completion and the
-    total is the operational beta(w).
+    The one full alpha scan: letters in ``letters_for(w)`` order (the
+    ascending alphabet, or the ascending positive letters), each mass
+    bounds-checked against [-TOL, 1 + TOL] and summed in that order.  A
+    mass in [-TOL, 0) adds nothing, so the cumulative masses never
+    decrease and ``_pick``'s bisect finds the letter a running-sum scan
+    would: the first whose cumulative mass exceeds u, a tie going to the
+    next letter.
     """
+    letters = tuple(kernel.letters_for(w))
+    cum = []
+    masses = {}
     acc = 0.0
-    for g in kernel.letters_for(w):
-        a = kernel.alpha(g, w)
+    for g in letters:
+        a = masses[g] = kernel.alpha(g, w)
         if a < -TOL or a > 1.0 + TOL:
             raise KernelContractViolation(
                 f"{kernel.name}: alpha({g!r}|{w!r}) = {a} outside [0,1]"
             )
-        acc += a
-        if u is not None and u < acc:
-            return g, acc
-    return STAR, acc
+        acc += 0.0 if a < 0.0 else a
+        cum.append(acc)
+    return letters, cum, masses
+
+
+def _pick(table, u: float):
+    """(first letter whose cumulative mass exceeds u, that mass), or
+    (STAR, the table's total) when u clears every letter."""
+    letters, cum, _ = table
+    i = bisect_right(cum, u)
+    if i < len(cum):
+        return letters[i], cum[i]
+    return STAR, (cum[-1] if cum else 0.0)
+
+
+def _stack(
+    kernel: KernelSpec,
+    u: float,
+    acc: float,
+    w_new: Window,
+    w_old: Window,
+    old_masses: dict,
+):
+    """The one increment scan: alpha(g|w_new) - alpha(g|w_old) stacked on acc.
+
+    Letters run in alphabet order, or over the sorted union of both
+    windows' positive letters.  alpha on ``w_new`` is evaluated lazily up
+    to the first letter whose stacked total exceeds u; the old masses come
+    from ``old_masses``, and a letter missing there reads alpha(g|w_old),
+    stored back.  A drop beyond TOL means the kernel broke monotonicity;
+    sub-TOL noise is clamped to zero so totals never decrease.  Returns
+    (symbol, total, masses of w_new by letter), the masses complete when
+    the symbol is STAR.
+    """
+    if kernel.alphabet is not None:
+        letters = kernel.alphabet
+    else:
+        letters = sorted(
+            set(kernel.positive_letters(w_new)) | set(kernel.positive_letters(w_old))
+        )
+    alpha = kernel.alpha
+    new = {}
+    for g in letters:
+        a = new[g] = alpha(g, w_new)
+        b = old_masses.get(g)
+        if b is None:
+            b = old_masses[g] = alpha(g, w_old)
+        d = a - b
+        if d < -TOL:
+            raise KernelContractViolation(
+                f"{kernel.name}: alpha({g!r}|·) decreased by {-d} when the "
+                f"window was refined from {w_old!r} to {w_new!r}"
+            )
+        if d < 0.0:
+            d = 0.0
+        acc += d
+        if u < acc:
+            return g, acc, new
+    return STAR, acc, new
+
+
+def _scan(kernel: KernelSpec, u: Optional[float], w: Window):
+    """(symbol, total) of ``_pick`` on w's table; u=None gives (STAR, beta(w))."""
+    return _pick(_table(kernel, w), math.inf if u is None else u)
 
 
 def alpha_star(kernel: KernelSpec, w: Window) -> float:
@@ -145,37 +219,13 @@ def sample_symbol(kernel: KernelSpec, u: float, w: Window):
 
 
 def _scan_increment(kernel, u, w_new: Window, w_old: Window, threshold_old: float):
-    """Incremental scan: stack the alpha increments of w_new over w_old.
+    """(symbol, new threshold) of ``_stack`` on the canonical windows.
 
-    Returns (symbol, new_threshold).  The returned threshold equals
-    threshold_old plus the total increment mass scanned, so chaining it
-    across successive refinements keeps per-time thresholds exact without
-    ever recomputing beta from scratch.  Negative increments beyond TOL
-    mean the kernel broke monotonicity; sub-TOL float noise is clamped
-    to zero so thresholds never decrease.
+    The returned threshold equals threshold_old plus the increment mass
+    scanned, so chaining it across successive refinements keeps per-time
+    thresholds exact without ever recomputing beta from scratch.
     """
-    w_new = canon(w_new)
-    w_old = canon(w_old)
-    if kernel.alphabet is not None:
-        letters = kernel.alphabet
-    else:
-        letters = sorted(
-            set(kernel.positive_letters(w_new)) | set(kernel.positive_letters(w_old))
-        )
-    acc = threshold_old
-    for g in letters:
-        d = kernel.alpha(g, w_new) - kernel.alpha(g, w_old)
-        if d < -TOL:
-            raise KernelContractViolation(
-                f"{kernel.name}: alpha({g!r}|·) decreased by {-d} when the "
-                f"window was refined from {w_old!r} to {w_new!r}"
-            )
-        if d < 0.0:
-            d = 0.0
-        acc += d
-        if u < acc:
-            return g, acc
-    return STAR, acc
+    return _stack(kernel, u, threshold_old, canon(w_new), canon(w_old), {})[:2]
 
 
 def sample_symbol_increment(kernel, u, w_new, w_old, threshold_old: float):

@@ -257,6 +257,37 @@ def test_additive_fold_matches_the_window_scan_on_deep_draws():
         ), rep
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        make_autoregressive(theta_geometric(0.8), 0.3),
+        _window_scan(make_autoregressive(theta_geometric(0.8), 0.3)),
+        build_kernel("imitation", {}),
+    ],
+    ids=["autoregressive", "autoregressive-scan", "imitation"],
+)
+def test_one_run_reads_the_empty_window_once_per_letter(kernel):
+    # the beta(empty) check, every round's opening draw and every first
+    # re-read of a time share one scan of the empty window per run
+    calls = []
+
+    def alpha(g, w):
+        if not canon(w):
+            calls.append(g)
+        return kernel.alpha(g, w)
+
+    counted = dataclasses.replace(kernel, alpha=alpha, beta=None)
+    letters = tuple(kernel.letters_for(()))
+    deepest = 0
+    for k in (0, 5):
+        for rep in range(30):
+            calls.clear()
+            _, rec = run_algorithm1(counted, k, StreamKey(seed=44, replication=rep))
+            deepest = max(deepest, rec.rounds_used)
+            assert sorted(calls) == sorted(letters), (k, rep, rec.rounds_used)
+    assert deepest >= 5
+
+
 def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
     # positive_letters leaves out letter 2 on windows shorter than 2 although
     # it carries mass there (0.0625 on one known letter), so the first scan

@@ -1,0 +1,65 @@
+"""A fixed sweep of both samplers, pinned by one digest.
+
+The digest is a sha256 over ``repr((letters, T, rounds_used,
+uniforms_consumed))`` of 1 520 runs: letters and integers only, no float
+thresholds.  It detects any change in what the samplers decide.  It is
+not an oracle: the digest was recorded from the code at commit 44e2d47,
+not derived independently.  A change that alters outputs on purpose must
+say so and re-record the digest.
+"""
+
+import dataclasses
+import hashlib
+
+from perfectsim.backward import run_algorithm1
+from perfectsim.coalescence import run_algorithm2
+from perfectsim.gallery import build_kernel
+from perfectsim.streams import StreamKey
+
+GOLDEN_SHA256 = "9e54c3cfe2d6d5c978eb3b1304826a3e16ca8bdcd64b291b3dfebfb4cb2fa0e1"
+
+_THETAS = ("geometric:0.5", "geometric:0.8", "list:0.5,0.3,0.2", "polynomial:0.3")
+
+
+def _without_hook(kernel):
+    forms = {k: v for k, v in kernel.closed_forms.items() if k != "additive_weight"}
+    return dataclasses.replace(kernel, closed_forms=forms)
+
+
+def _spontaneous_kernels():
+    for theta in _THETAS:
+        kernel = build_kernel("autoregressive", {"theta": theta})
+        yield kernel
+        yield _without_hook(kernel)
+    for name in ("imitation", "imitation-general", "ladder"):
+        yield build_kernel(name, {})
+
+
+def _coupled_kernels():
+    yield build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    yield build_kernel("cyclic4", {"theta": "list:0.5,0.3,0.2"})
+    yield build_kernel("graph-walk", {"graph": "path:3", "theta": "list:0.5,0.3,0.2"})
+    yield build_kernel("three-letter-alternating", {})
+
+
+def _sweep():
+    for kernel in _spontaneous_kernels():
+        for k in (0, 3, 12):
+            for rep in range(40):
+                yield run_algorithm1(kernel, k, StreamKey(7, rep), max_rounds=2000)
+    for kernel in _coupled_kernels():
+        for k in (0, 4):
+            for rep in range(25):
+                yield run_algorithm2(kernel, k, StreamKey(9, rep))
+
+
+def test_sweep_digest_is_unchanged():
+    h = hashlib.sha256()
+    runs = 0
+    for letters, rec in _sweep():
+        h.update(
+            repr((letters, rec.T, rec.rounds_used, rec.uniforms_consumed)).encode()
+        )
+        runs += 1
+    assert runs == 1520
+    assert h.hexdigest() == GOLDEN_SHA256

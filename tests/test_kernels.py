@@ -8,7 +8,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfectsim.gallery import make_autoregressive, theta_geometric
+from perfectsim.gallery import make_autoregressive, make_imitation, theta_geometric
 from perfectsim.kernels import (
     STAR,
     KernelContractViolation,
@@ -179,6 +179,37 @@ def test_star_exactly_when_u_reaches_beta(w, u):
     sym = sample_symbol(au, u, w)
     assert (sym is STAR) == (u >= au.beta(w))
     assert sym in (0, 1, STAR)
+
+
+def _running_sum_symbol(kernel, u, w):
+    """The scan written out: first letter whose running mass exceeds u."""
+    acc = 0.0
+    for g in kernel.letters_for(w):
+        acc += kernel.alpha(g, w)
+        if u < acc:
+            return g
+    return STAR
+
+
+@pytest.mark.parametrize(
+    "kernel, letters",
+    [(_autoreg(), [0, 1, STAR]), (make_imitation((0.3, 0.2)), [1, 2, 3, STAR])],
+    ids=["autoregressive", "imitation"],
+)
+@given(data=st.data(), u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(deadline=None)
+def test_pick_matches_a_running_sum_scan(kernel, letters, data, u):
+    # the bisect on the cumulative table against a plain loop, at a random
+    # u and at every cumulative breakpoint, where a tie goes to the next
+    # letter
+    w = canon(data.draw(st.lists(st.sampled_from(letters), max_size=5).map(tuple)))
+    breaks = []
+    acc = 0.0
+    for g in kernel.letters_for(w):
+        acc += kernel.alpha(g, w)
+        breaks.append(acc)
+    for v in [u] + [b for b in breaks if b < 1.0]:
+        assert sample_symbol(kernel, v, w) == _running_sum_symbol(kernel, v, w)
 
 
 @st.composite
