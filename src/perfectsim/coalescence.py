@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -63,6 +63,10 @@ class BetaNZero(Exception):
 
 class NotFoundWithin(Exception):
     """Exact-length reachability did not saturate within the budget."""
+
+
+class ExplosionGuard(Exception):
+    """An enumeration would cost more than the budget allows."""
 
 
 @dataclass
@@ -276,8 +280,18 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
     )
 
 
+# cells phase1_agreement may visit before it gives up: graph-walk path:7
+# with geometric:0.5 weights (n₀ = 6), the largest planned walk, visits
+# 96 181 (0.9 s on one core of a 2-core VM), and each further vertex
+# multiplies the count by about 7
+PHASE1_MAX_CELLS = 200_000
+
+
 def phase1_agreement(
-    kernel: KernelSpec, analysis: MarkovAnalysis, n0: int
+    kernel: KernelSpec,
+    analysis: MarkovAnalysis,
+    n0: int,
+    tables: dict | None = None,
 ) -> float:
     """Exact probability that phase 1 under one shared uniform per time
     fixes a window's n̂ newest positions.
@@ -288,11 +302,23 @@ def phase1_agreement(
     refines the window time by time, oldest first, and sums the products
     of cell lengths over the paths on which all trajectories draw the
     same letter, not STAR, at each of the n̂ newest times.
+
+    ``tables`` (a dict, filled in place) receives the ``_table`` of every
+    phase-1 context the walk scans, keyed as ``run_algorithm2`` keys
+    them: newest letter first, then the past.  Every context a phase-1
+    trajectory can reach is there, except those past a disagreement the
+    walk prunes at one of the n̂ newest times (so none when n̂ = 1).  The
+    walk raises ExplosionGuard once it has visited more than
+    ``PHASE1_MAX_CELLS`` cells, which bounds its time and the size of
+    ``tables``.
     """
     nhat = analysis.order
-    tables: dict = {}
+    if tables is None:
+        tables = {}
+    cells = 0
 
     def walk(j, ctxs):
+        nonlocal cells
         tabs = []
         for c in ctxs:
             tab = tables.get(c)
@@ -302,6 +328,12 @@ def phase1_agreement(
         cuts = sorted(
             {0.0, 1.0} | {min(max(c, 0.0), 1.0) for _, cum, _ in tabs for c in cum}
         )
+        cells += len(cuts) - 1
+        if cells > PHASE1_MAX_CELLS:
+            raise ExplosionGuard(
+                f"{kernel.name}: phase-1 agreement walk visits more than "
+                f"{PHASE1_MAX_CELLS} cells (nhat = {nhat}, n0 = {n0})"
+            )
         total = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
             syms = [_pick(tab, lo)[0] for tab in tabs]
@@ -321,12 +353,22 @@ def phase1_agreement(
 
 @dataclass
 class CoalescencePlan:
+    """A kernel's resolved (n̂, n₀), coupling and phase-1 tables.
+
+    ``tables`` is the context -> ``_table`` dict that ``phase1_agreement``
+    filled while ``make_plan`` walked the window; ``run_algorithm2``
+    reads its phase-1 scans from it and never writes to it, so it is
+    bounded by that walk's cell budget and shared by every run (and by
+    copies made with ``dataclasses.replace``).
+    """
+
     nhat: int
     n0: int
     analysis: MarkovAnalysis
     index: dict  # window in C -> past_id for the per-past uniform streams
     agreement: float  # phase1_agreement under the shared coupling
     shared: bool  # phase 1 reads one uniform per time for every past
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def coupling(self) -> str:
@@ -337,8 +379,11 @@ def make_plan(
     kernel: KernelSpec, analysis: MarkovAnalysis, n0: int
 ) -> CoalescencePlan:
     """Plan for a resolved (n̂ analysis, n₀): shared uniforms whenever they
-    can make phase 1 agree, per-past streams otherwise."""
-    agreement = phase1_agreement(kernel, analysis, n0)
+    can make phase 1 agree, per-past streams otherwise.  The plan keeps
+    the phase-1 tables its agreement walk scanned, which that walk's
+    ExplosionGuard budget bounds."""
+    tables: dict = {}
+    agreement = phase1_agreement(kernel, analysis, n0, tables)
     return CoalescencePlan(
         nhat=analysis.order,
         n0=n0,
@@ -346,6 +391,7 @@ def make_plan(
         index={w: i for i, w in enumerate(analysis.states)},
         agreement=agreement,
         shared=agreement > 0.0,
+        tables=tables,
     )
 
 
@@ -402,6 +448,13 @@ def run_algorithm2(
     and independent across windows) takes its place, and the plan falls
     back to per-past streams where it is 0.
 
+    Phase 1 reads each context's ``_table`` from ``plan.tables``, which
+    the plan's agreement walk filled and no run writes, so the plan must
+    be this kernel's own.  A context that walk pruned (possible only when
+    n̂ >= 2) is scanned into a dict of this run's own, dropped when the
+    run returns.  The first phase-2 sweep of a window reads trajectory
+    b's old masses from the same two dicts.
+
     Phase 2 is event-driven: a window is swept only while its left
     n̂-context is fully known and it still has unresolved positions,
     which is behaviourally identical to sweeping every window each round
@@ -442,7 +495,8 @@ def run_algorithm2(
     ttil: dict = {}
     traj: dict = {}  # (z, pid) -> {time: (symbol, scan total)}
     first_done: dict = {}  # z -> round when the left context completed
-    tables: dict = {}  # phase-1 context -> its _table
+    known = plan.tables  # phase-1 context -> its _table, read only
+    tables: dict = {}  # contexts the plan's walk pruned, for this run only
     unresolved: dict = {}  # window z -> count of STAR positions
     b_ready: dict = {}  # window z -> its completed left context
     active: set = set()  # b known and unresolved positions remain
@@ -556,12 +610,13 @@ def run_algorithm2(
         for a in C:
             pid = idx[a]
             tvals = {}
+            ctx = a
             for t in range(lo, hi + 1):
-                ctx = tuple(tvals[j][0] for j in range(t - 1, lo - 1, -1)) + a
-                tab = tables.get(ctx)
+                tab = known.get(ctx) or tables.get(ctx)
                 if tab is None:
                     tab = tables[ctx] = _table(kernel, ctx)
-                tvals[t] = _pick(tab, _u(t, pid))
+                tvals[t] = picked = _pick(tab, _u(t, pid))
+                ctx = (picked[0],) + ctx
             traj[(n, pid)] = tvals
         unresolved[n] = n0
         for t in range(lo, hi + 1):
@@ -617,7 +672,7 @@ def run_algorithm2(
                 w_new = canon(_context(t, lo, temp.__getitem__))
                 # a first sweep's old window is trajectory b's phase-1
                 # context, whose masses its table already holds
-                old = tables.get(w_old)
+                old = known.get(w_old) or tables.get(w_old)
                 sym, acc, _ = _stack(
                     kernel, u, base, w_new, w_old, {} if old is None else old[2]
                 )

@@ -17,12 +17,8 @@ from typing import Optional
 
 from .backward import run_joint_tableau
 from .kernels import STAR, KernelSpec
-from .coalescence import MarkovAnalysis, NotFound, find_nhat
+from .coalescence import ExplosionGuard, MarkovAnalysis, NotFound, find_nhat
 from .streams import StreamKey
-
-
-class ExplosionGuard(Exception):
-    """An enumeration would cost more than the budget allows."""
 
 
 def _letters(kernel: KernelSpec, truncation: Optional[int]):

@@ -8,9 +8,10 @@ admissible histories compatible with the known letters of ``w`` — their
 sum ``beta(w)``, and an admissibility predicate on star-free windows.
 
 Every sampler turns a uniform into a symbol through three primitives.
-``_table(kernel, w)`` is the one full scan: alpha on ``letters_for(w)`` in
-ascending order, bounds-checked and summed in that order.  ``_pick(table,
-u)`` bisects it for the first letter whose cumulative mass exceeds u (a
+``_table(kernel, w)`` is the one scan: alpha on ``letters_for(w)`` in
+ascending order, bounds-checked and summed in that order, over every
+letter or up to the one a given uniform picks.  ``_pick(table, u)``
+bisects it for the first letter whose cumulative mass exceeds u (a
 tie goes to the next letter), or STAR and the total.  ``_stack`` is the
 one increment scan, re-reading u against the mass a refined window adds.
 All three are float-deterministic: the same ``u`` and window always
@@ -114,16 +115,19 @@ class KernelSpec:
         return self.positive_letters(w)
 
 
-def _table(kernel: KernelSpec, w: Window):
+def _table(kernel: KernelSpec, w: Window, stop: float = math.inf):
     """(letters, cumulative masses, masses by letter) of window w.
 
-    The one full alpha scan: letters in ``letters_for(w)`` order (the
+    The one alpha scan: letters in ``letters_for(w)`` order (the
     ascending alphabet, or the ascending positive letters), each mass
     bounds-checked against [-TOL, 1 + TOL] and summed in that order.  A
     mass in [-TOL, 0) adds nothing, so the cumulative masses never
     decrease and ``_pick``'s bisect finds the letter a running-sum scan
     would: the first whose cumulative mass exceeds u, a tie going to the
-    next letter.
+    next letter.  A finite ``stop`` ends the scan at the first cumulative
+    mass above it: the cumulative and by-letter masses then stop at that
+    letter, and ``_pick`` at ``stop`` reads the prefix as it would the
+    whole table.
     """
     letters = tuple(kernel.letters_for(w))
     cum = []
@@ -137,6 +141,8 @@ def _table(kernel: KernelSpec, w: Window):
             )
         acc += 0.0 if a < 0.0 else a
         cum.append(acc)
+        if stop < acc:
+            break
     return letters, cum, masses
 
 
@@ -197,8 +203,10 @@ def _stack(
 
 
 def _scan(kernel: KernelSpec, u: Optional[float], w: Window):
-    """(symbol, total) of ``_pick`` on w's table; u=None gives (STAR, beta(w))."""
-    return _pick(_table(kernel, w), math.inf if u is None else u)
+    """(symbol, total) of ``_pick`` on w's table, scanned up to the picked
+    letter; u=None scans every letter and gives (STAR, beta(w))."""
+    u = math.inf if u is None else u
+    return _pick(_table(kernel, w, u), u)
 
 
 def alpha_star(kernel: KernelSpec, w: Window) -> float:

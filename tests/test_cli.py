@@ -283,6 +283,26 @@ def test_round_budget_exhaustion_maps_to_exit_4(tmp_path, capsys):
     assert payload["type"] == "MaxRoundsExceeded"
 
 
+def test_plan_walk_budget_maps_to_exit_4(tmp_path, capsys):
+    # graph-walk path:8 would visit about 7x the 96 181 cells of path:7;
+    # the default budget stops its plan after about a second
+    rc = _run(
+        "analyze-markov",
+        "--kernel",
+        "graph-walk",
+        "--param",
+        "graph=path:8",
+        "--param",
+        "theta=geometric:0.5",
+        "--out",
+        str(tmp_path / "path8"),
+    )
+    assert rc == 4
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "budget-exceeded"
+    assert payload["type"] == "ExplosionGuard"
+
+
 def test_missing_kernel_is_a_config_error(capsys):
     assert _run("sample") == 2
     assert "required" in capsys.readouterr().err

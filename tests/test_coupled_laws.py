@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from perfectsim.backward import MaxRoundsExceeded
+from perfectsim.backward import MaxRoundsExceeded, run_algorithm1, run_joint_tableau
 from perfectsim.coalescence import prepare_coalescence, run_algorithm2
 from perfectsim.gallery import build_kernel
 from perfectsim.streams import StreamKey
@@ -209,3 +209,49 @@ def test_coupled_draws_follow_the_stationary_law(shared):
             se = math.sqrt(p * (1.0 - p) / n)
             freq = counts[name][cell] / n
             assert abs(freq - p) <= 4.0 * se, (name, cell, freq, p)
+
+
+def _pairs(kernel, route, n, seed):
+    """(X_-1, X_0) of n draws of one route."""
+    if route == "algo2":
+        plan = prepare_coalescence(kernel)
+    for r in range(n):
+        key = StreamKey(seed=seed, replication=r)
+        if route == "algo1":
+            xs, _ = run_algorithm1(kernel, 1, key)
+        elif route == "joint-tableau":
+            vals, _ = run_joint_tableau(kernel, 1, key)  # times 0..1, 1 newest
+            xs = (vals[0], vals[1])
+        else:
+            xs, _ = run_algorithm2(kernel, 1, key, plan=plan)
+        yield tuple(xs)
+
+
+@pytest.mark.parametrize("route", ["algo1", "joint-tableau", "algo2"])
+def test_both_routes_follow_the_stationary_law_of_autoregressive(route):
+    # with theta_0..theta_2 = 0.5, 0.3, 0.2 the kernel is an order-2 chain
+    # on which the spontaneous route and the coupled one (n̂ = n₀ = 1) both
+    # apply; each route's (X_-1, X_0) is checked against pi at 4 SE
+    kern = build_kernel(
+        "autoregressive", {"theta": "list:0.5,0.3,0.2", "delta": 0.3}
+    )
+    pi = _stationary_windows(kern, 2)
+    pair_law = {(w[1], w[0]): p for w, p in pi.items()}  # w = (X_0, X_-1)
+    x0_law = {x: sum(p for w, p in pi.items() if w[0] == x) for x in (0, 1)}
+    assert x0_law[1] == pytest.approx(1.0 - 0.3, rel=0, abs=1e-12)
+    plan = prepare_coalescence(kern)
+    assert (plan.nhat, plan.n0) == (1, 1)
+
+    n = 3000
+    counts: dict = {}
+    for pair in _pairs(kern, route, n, seed=43):
+        counts[pair] = counts.get(pair, 0) + 1
+    checks = [(pair, p, counts.get(pair, 0)) for pair, p in pair_law.items()]
+    checks += [
+        (x, p, sum(c for pair, c in counts.items() if pair[1] == x))
+        for x, p in x0_law.items()
+    ]
+    assert sum(counts.values()) == n and set(counts) <= set(pair_law)
+    for cell, p, hits in checks:
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(hits / n - p) <= 4.0 * se, (route, cell, hits / n, p)

@@ -4,15 +4,26 @@ randomized contract checker."""
 import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfectsim.gallery import make_autoregressive, make_imitation, theta_geometric
+from perfectsim.gallery import (
+    GALLERY,
+    build_kernel,
+    make_autoregressive,
+    make_imitation,
+    theta_geometric,
+)
 from perfectsim.kernels import (
     STAR,
     KernelContractViolation,
     KernelSpec,
+    _pick,
+    _random_window,
+    _scan,
+    _table,
     alpha_star,
     canon,
     is_star,
@@ -210,6 +221,35 @@ def test_pick_matches_a_running_sum_scan(kernel, letters, data, u):
         breaks.append(acc)
     for v in [u] + [b for b in breaks if b < 1.0]:
         assert sample_symbol(kernel, v, w) == _running_sum_symbol(kernel, v, w)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_a_stopped_scan_picks_what_the_full_table_picks(name):
+    # a one-off draw scans alpha only up to the letter it picks; at every
+    # cumulative breakpoint and the floats either side of it, the prefix
+    # gives the symbol and total of the whole table
+    kernel = build_kernel(name, {})
+    calls = []
+    counted = dataclasses.replace(
+        kernel, alpha=lambda g, w: calls.append(g) or kernel.alpha(g, w)
+    )
+    rng = random.Random(11)
+    for _ in range(40):
+        w = canon(_random_window(kernel, rng))
+        full = _table(kernel, w)
+        us = {0.0, rng.random()}
+        for c in full[1]:
+            us.update((math.nextafter(c, -1.0), c, math.nextafter(c, 2.0)))
+        for u in sorted(v for v in us if 0.0 <= v < 1.0):
+            want = _pick(full, u)
+            del calls[:]
+            prefix = _table(counted, w, u)
+            assert _pick(prefix, u) == want == _scan(kernel, u, w), (w, u)
+            assert len(calls) == len(prefix[1])
+            if want[0] is not STAR:
+                assert calls[-1] == want[0]
+            else:
+                assert prefix[1] == full[1]
 
 
 @st.composite

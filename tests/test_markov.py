@@ -2,18 +2,26 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import perfectsim
+from perfectsim import coalescence
 from perfectsim.backward import MaxRoundsExceeded
 from perfectsim.coalescence import (
     AssumptionViolated,
     BetaNZero,
+    ExplosionGuard,
     NotFound,
     NotFoundWithin,
     build_markov_analysis,
     compute_n0,
     find_nhat,
+    make_plan,
+    phase1_agreement,
     prepare_coalescence,
     run_algorithm2,
 )
@@ -202,6 +210,60 @@ def test_plan_preparation_caches_and_rejects():
         prepare_coalescence(make_imitation((0.3, 0.2)), 6, 64)
 
 
+def _path5(theta):
+    return build_kernel("graph-walk", {"graph": "path:5", "theta": theta})
+
+
+def test_agreement_walk_stops_at_its_cell_budget(monkeypatch):
+    # the walk visits 2 172 cells on path:5; one fewer allowed raises the
+    # guard the CLI maps to exit 4, and the budget changes no value
+    kern = _path5("geometric:0.5")
+    _, analysis = find_nhat(kern, 8)
+    n0 = compute_n0(analysis)
+    assert n0 == 4
+    exact = phase1_agreement(kern, analysis, n0)
+    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2172)
+    assert phase1_agreement(kern, analysis, n0) == exact
+    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2171)
+    with pytest.raises(ExplosionGuard, match="more than 2171 cells"):
+        phase1_agreement(kern, analysis, n0)
+    with pytest.raises(ExplosionGuard, match="more than 2171 cells"):
+        make_plan(kern, analysis, n0)
+
+
+_SMALL_BUDGET = """
+from perfectsim import coalescence
+from perfectsim.gallery import build_kernel
+
+assert not __debug__
+coalescence.PHASE1_MAX_CELLS = 100
+kern = build_kernel("graph-walk", {"graph": "path:5", "theta": "geometric:0.5"})
+try:
+    coalescence.prepare_coalescence(kern)
+except coalescence.ExplosionGuard as e:
+    print("tripped:", e)
+else:
+    print("never tripped")
+"""
+
+
+def test_cell_budget_runs_under_python_O():
+    # the guard is a raise, not an assert, so it still fires with
+    # assertions stripped
+    src = os.path.dirname(os.path.dirname(perfectsim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SMALL_BUDGET],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("tripped: graph-walk: phase-1 agreement walk"), (
+        out.stdout
+    )
+
+
 # ------------------------------------------------------- the coupled sampler
 
 
@@ -283,6 +345,64 @@ def test_plan_falls_back_to_per_past_streams_when_agreement_is_impossible():
         assert set(xs) <= {"a", "b"}
         assert None not in {p for _, p in calls}
         assert rec.uniforms_consumed == len(calls)
+
+
+def _batch(kern, plan_for, k, seed, reps):
+    out = []
+    for rep in range(reps):
+        xs, rec = run_algorithm2(kern, k, StreamKey(seed, rep), plan=plan_for())
+        out.append((xs, rec.T, rec.rounds_used, rec.uniforms_consumed))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kern,k,reps",
+    [
+        (build_kernel("cyclic4", {"theta": "geometric:0.4"}), 2, 30),
+        (_path5("list:0.5,0.3,0.2"), 1, 20),
+        (_mirrored(), 3, 30),
+    ],
+    ids=["cyclic4-shared", "path5-shared", "mirrored-per-past"],
+)
+def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, k, reps):
+    # every run reads the plan's phase-1 tables and none writes to them:
+    # a batch on one plan decides exactly what the same draws decide on a
+    # plan built afresh for each, or on a plan holding every other table,
+    # whose runs scan the rest into dicts of their own
+    plan = prepare_coalescence(kern)
+    assert plan.shared == (kern.name != "mirrored")
+    tables = dict(plan.tables)
+    masses = {c: dict(tab[2]) for c, tab in tables.items()}
+    half = dataclasses.replace(
+        plan, tables=dict(itertools.islice(tables.items(), 0, None, 2))
+    )
+    half_keys = set(half.tables)
+    one = _batch(kern, lambda: plan, k, 12, reps)
+    fresh = _batch(kern, lambda: make_plan(kern, plan.analysis, plan.n0), k, 12, reps)
+    mixed = _batch(kern, lambda: half, k, 12, reps)
+    assert one == fresh == mixed
+    assert plan.tables.keys() == tables.keys() and set(half.tables) == half_keys
+    assert all(plan.tables[c] is tab for c, tab in tables.items())
+    assert {c: tab[2] for c, tab in plan.tables.items()} == masses
+
+
+def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
+    # the agreement walk reaches every phase-1 context on cyclic4, so once
+    # the plan exists a batch of draws builds no table of its own
+    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    plan = prepare_coalescence(kern)
+    calls = []
+    table = coalescence._table
+
+    def counted(kernel, w, *args):
+        calls.append(w)
+        return table(kernel, w, *args)
+
+    monkeypatch.setattr(coalescence, "_table", counted)
+    _batch(kern, lambda: plan, 0, 1, 40)
+    assert calls == []
+    _batch(kern, lambda: dataclasses.replace(plan, tables={}), 0, 1, 1)
+    assert calls  # the counter sees the scans a plan without tables needs
 
 
 def test_tableau_snapshots_never_contradict_earlier_letters():
