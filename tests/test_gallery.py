@@ -1,6 +1,7 @@
 """Gallery kernels against hand-derived values and cross-model identities."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from perfectsim.gallery import (
     make_flipflop,
     make_graph_walk,
     make_imitation,
+    make_imitation_general,
     make_ladder,
     make_three_letter_alternating,
     parse_theta,
@@ -32,6 +34,10 @@ from perfectsim.streams import StreamKey
 
 A12 = pytest.approx
 TOL = 1e-12
+
+
+PINNED_ALPHA_SHA256 = "20a6e8ec523c44969e55b624044e134bb33990e9008bb2f6e210531ec2ff92f4"
+PINNED_TRIPLES = 441_875
 
 
 def ap(x):
@@ -424,3 +430,47 @@ def test_every_catalog_kernel_passes_a_quick_contract_check(name):
     assert kernel.name
     report = validate_kernel(kernel, trials=60, rng_seed=11)
     assert report.passed, [str(v) for v in report.violations[:3]]
+
+
+# ------------------------------------------------------------ pinned alpha
+
+
+def _halving_lookback(m):
+    return tuple(2.0**-k for k in range(1, m)) + (2.0 ** (1 - m),)
+
+
+def _pinned_kernels():
+    """(label, kernel, window symbols, max length, letters g to query)."""
+    for a, t in ((0.5, 0.5), (0.25, 0.7)):
+        yield f"flipflop:{a},{t}", make_flipflop(flipflop_r(a, t)), (0, 1), 8, range(-1, 3)
+    for label, r in (("default", None), ("one-minus:0.3,0.6", flipflop_r(0.3, 0.6))):
+        kern = make_three_letter_alternating(r, restrict_histories=False)
+        yield f"three-letter:{label}", kern, (0, 1, 2), 6, range(-1, 4)
+    yield "three-letter:restricted", make_three_letter_alternating(), (0, 1, 2), 6, range(-1, 4)
+    for trunc in (None, 4):
+        symbols = (1, 2, 3, 4) if trunc else (1, 2, 3, 7)
+        params = {"c": "0.3,0.2"}
+        if trunc is not None:
+            params["truncation"] = str(trunc)
+        for name in ("imitation", "imitation-general", "ladder"):
+            yield f"{name}:{trunc}", build_kernel(name, params), symbols, 5, range(0, 9)
+        kern = make_imitation_general((0.3, 0.2), _halving_lookback, trunc)
+        yield f"imitation-halving:{trunc}", kern, symbols, 5, range(0, 9)
+
+
+def test_alpha_bits_are_pinned():
+    # sha256 over the exact float bits of alpha and over letters_for, on
+    # every window up to a fixed length, including letters outside the
+    # alphabet; recorded from the code before the spontaneous-mass and
+    # run-length kernels were rebuilt on shared builders, and never to be
+    # re-recorded by a change that claims bit-identical kernels
+    h = hashlib.sha256()
+    triples = 0
+    for label, kern, symbols, depth, gs in _pinned_kernels():
+        for n in range(depth + 1):
+            for w in itertools.product(symbols + (STAR,), repeat=n):
+                bits = [kern.alpha(g, w).hex() for g in gs]
+                h.update(f"{label}|{w!r}|{tuple(kern.letters_for(w))!r}|{bits}".encode())
+                triples += len(bits)
+    assert triples == PINNED_TRIPLES
+    assert h.hexdigest() == PINNED_ALPHA_SHA256
