@@ -494,7 +494,7 @@ def run_algorithm2(
     ucache: dict = {}
     ttil: dict = {}
     traj: dict = {}  # (z, pid) -> {time: (symbol, scan total)}
-    first_done: dict = {}  # z -> round when the left context completed
+    first_done: set = set()  # windows whose first phase-2 sweep has run
     known = plan.tables  # phase-1 context -> its _table, read only
     tables: dict = {}  # contexts the plan's walk pruned, for this run only
     unresolved: dict = {}  # window z -> count of STAR positions
@@ -506,16 +506,13 @@ def run_algorithm2(
     cur_sweep = None  # window being swept; its own writes need no re-queue
     journal: dict = {}  # within-round write log: time -> start-of-round value
     targets_left = k + 1
-    ucount = 0
 
     def _u(t, pid):
         # the stream id: one uniform per time under the shared coupling
         kk = (t, None) if shared else (t, pid)
         u = ucache.get(kk)
         if u is None:
-            nonlocal ucount
             u = ucache[kk] = uniforms(*kk)
-            ucount += 1
         return u
 
     def _resolved(t):
@@ -597,10 +594,16 @@ def run_algorithm2(
     n = 0
     while True:
         if n > max_rounds:
-            raise MaxRoundsExceeded(
-                f"no coalescence within {max_rounds} windows",
-                SimulationTableau(dict(temp), n - 1, -k, 0),
-            )
+            msg = f"no coalescence within {max_rounds} windows"
+            if shared:
+                # agreements are i.i.d. across windows: 1/agreement is the
+                # mean wait for the first window whose pasts all agree
+                msg += (
+                    f"; the plan's phase-1 agreement is {plan.agreement:.3g}, "
+                    f"so about {1.0 / plan.agreement:.0f} windows are expected "
+                    "before one fully agrees"
+                )
+            raise MaxRoundsExceeded(msg, SimulationTableau(dict(temp), n - 1, -k, 0))
         journal.clear()
         del heap[:]
         inq.clear()
@@ -646,7 +649,7 @@ def run_algorithm2(
             pid = idx[b]
             first = z not in first_done
             if first:
-                first_done[z] = n
+                first_done.add(z)
             tz = traj.get((z, pid))
             for t in range(l(z), r(z) + 1):
                 if temp[t] is not STAR:
@@ -689,7 +692,7 @@ def run_algorithm2(
             record = StoppingRecord(
                 T={t: ttil[t] for t in range(-k, 1)},
                 rounds_used=n,
-                uniforms_consumed=ucount,
+                uniforms_consumed=len(ucache),
             )
             return [temp[t] for t in range(-k, 1)], record
         n += 1

@@ -115,6 +115,12 @@ def parse_theta(label: str) -> ThetaWeights:
     raise ValueError(f"unknown weight family {label!r}")
 
 
+def _beta_known_prefix(theta: ThetaWeights) -> Callable[[int], float]:
+    """beta of any fully known n-window when each lag's weight goes to
+    exactly one letter: theta_0 + ... + theta_n, summed exactly."""
+    return lambda n: math.fsum(theta.theta(j) for j in range(n + 1))
+
+
 # ---------------------------------------------------------------------------
 # binary autoregressive kernel
 
@@ -149,9 +155,6 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
                 acc += wt
         return acc
 
-    def beta_known(n):  # fully-known n-window, any values
-        return math.fsum(theta.theta(j) for j in range(n + 1))
-
     def rho(n):
         out = 1.0
         for j in range(1, n + 1):
@@ -174,7 +177,7 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
             "s": theta.s,
             "theta": theta.theta,
             "star_affine": True,
-            "beta_known_prefix": beta_known,
+            "beta_known_prefix": _beta_known_prefix(theta),
             "rho": rho,
             "additive_weight": additive_weight,
             "stationary_mean": 1.0 - delta,
@@ -183,16 +186,54 @@ def make_autoregressive(theta: ThetaWeights, delta: float) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# imitation kernel: copy a uniformly chosen recent letter, lookback = last letter
+# spontaneous-mass kernels: p(g | x) = c_g + (1-c) q(g | x) on letters >= 1
 
 
-def _c_support(c_seq) -> tuple:
+def _spontaneous_kernel(
+    name: str, c_seq, truncation: Optional[int], infimum, extra_letters
+) -> KernelSpec:
+    """KernelSpec of p(g | x) = c_g + (1-c) q(g | x) on the letters >= 1.
+
+    alpha(g, w) = c_g + (1-c) * infimum(g, w, letters), with w canonical
+    and ``letters`` the alphabet {1..truncation} (None when countable);
+    the infimum is the adversarial minimum of q(g | .) over histories
+    matching w, 0.0 where it is not attained.  A countable kernel's
+    positive letters are {1..len(c)} and ``extra_letters(w)``.
+    """
     c = tuple(float(v) for v in c_seq)
     if not c or c[0] <= 0.0 or any(v < 0 for v in c):
         raise ValueError("need c_1 > 0 and all c_g >= 0")
-    if math.fsum(c) >= 1.0:
+    total = math.fsum(c)
+    if total >= 1.0:
         raise ValueError("sum of c must be < 1")
-    return c
+    rest = 1.0 - total
+    spontaneous = set(range(1, len(c) + 1))
+    if truncation is not None:
+        if truncation < max(2, len(c)):
+            raise ValueError("truncation must be >= max(2, len(c))")
+        letters = tuple(range(1, truncation + 1))
+    else:
+        letters = None
+
+    def alpha(g, w: Window) -> float:
+        w = canon(w)
+        if letters is not None and not (1 <= g <= truncation):
+            return 0.0
+        if g < 1:
+            return 0.0
+        base = c[g - 1] if g <= len(c) else 0.0
+        return base + rest * infimum(g, w, letters)
+
+    def positive(w: Window) -> tuple:
+        return tuple(sorted(spontaneous.union(extra_letters(canon(w)))))
+
+    return KernelSpec(
+        name=name,
+        parameters={"c": c, "truncation": truncation},
+        alphabet=letters,
+        alpha=alpha,
+        positive_letters=None if letters is not None else positive,
+    )
 
 
 def make_imitation(c_seq, truncation: Optional[int] = None) -> KernelSpec:
@@ -207,15 +248,7 @@ def make_imitation(c_seq, truncation: Optional[int] = None) -> KernelSpec:
     genuine minimum over the K possible lookbacks.
     """
     kernel = make_imitation_general(c_seq, uniform_lookback, truncation)
-    c = kernel.parameters["c"]
-    sfx = [0.0] * (len(c) + 1)
-    for j in range(len(c) - 1, -1, -1):
-        sfx[j] = c[j] + sfx[j + 1]
     kernel.name = "imitation"
-    kernel.closed_forms = {
-        "c": c,
-        "s_c": lambda m: sfx[m - 1] if m <= len(c) else 0.0,
-    }
     return kernel
 
 
@@ -231,18 +264,6 @@ def make_imitation_general(
     family f_m = (1/m, ..., 1/m); constructors must only pass such
     families.
     """
-    c = _c_support(c_seq)
-    rest = 1.0 - math.fsum(c)
-
-    def base(g):
-        return c[g - 1] if 1 <= g <= len(c) else 0.0
-
-    if truncation is not None:
-        if truncation < max(2, len(c)):
-            raise ValueError("truncation must be >= max(2, len(c))")
-        letters = tuple(range(1, truncation + 1))
-    else:
-        letters = None
 
     def _match(g, w, m):
         # lag 1 is x_{-1} = m itself, lags 2.. read the window; stars and
@@ -254,39 +275,21 @@ def make_imitation_general(
                 acc += f[k - 1]
         return acc
 
-    def alpha(g, w: Window) -> float:
-        w = canon(w)
-        if letters is not None and not (1 <= g <= truncation):
-            return 0.0
-        if g < 1:
-            return 0.0
+    def infimum(g, w, letters):
         if w and w[0] is not STAR:
-            return base(g) + rest * _match(g, w, w[0])
+            return _match(g, w, w[0])
         if letters is None:
-            return base(g)
-        return base(g) + rest * min(_match(g, w, m) for m in letters)
+            return 0.0
+        return min(_match(g, w, m) for m in letters)
 
-    def positive(w: Window) -> tuple:
-        w = canon(w)
-        out = set(range(1, len(c) + 1))
-        out.update(x for x in w if x is not STAR)
-        return tuple(sorted(out))
+    def seen(w):
+        return (x for x in w if x is not STAR)
 
-    return KernelSpec(
-        name="imitation-general",
-        parameters={"c": c, "truncation": truncation},
-        alphabet=letters,
-        alpha=alpha,
-        positive_letters=None if letters is not None else positive,
-    )
+    return _spontaneous_kernel("imitation-general", c_seq, truncation, infimum, seen)
 
 
 def uniform_lookback(m: int) -> tuple:
     return (1.0 / m,) * m
-
-
-# ---------------------------------------------------------------------------
-# ladder kernel: spontaneous mass + a jump whose law depends on a record time
 
 
 def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> KernelSpec:
@@ -300,22 +303,8 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
     q_Y(g) over that candidate set, or the family's tail infimum (0 for
     the uniform family) when no prefix is certainly a ladder epoch.
     """
-    c = _c_support(c_seq)
-    rest = 1.0 - math.fsum(c)
     if q_family is None:
         q_family = lambda m, g: (1.0 / m) if 1 <= g <= m else 0.0
-
-    def base(g):
-        return c[g - 1] if 1 <= g <= len(c) else 0.0
-
-    if truncation is not None:
-        if truncation < max(2, len(c)):
-            raise ValueError("truncation must be >= max(2, len(c))")
-        letters = tuple(range(1, truncation + 1))
-        maxletter = truncation
-    else:
-        letters = None
-        maxletter = None
 
     def _candidates(w: Window):
         """Possibly-Y prefix lengths up to the first certain one.
@@ -323,12 +312,12 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
         Returns (cands, capped): capped=False means arbitrarily large Y
         values stay consistent (the scan never hit a certain epoch).
         """
-        if maxletter is None:
+        if truncation is None:
             horizon = len(w)
         else:
             # with letters <= K the epoch condition m(m+1)/2 >= (sum <= mK)
             # is eventually certain, so the scan provably stops
-            horizon = 2 * maxletter + len(w) + 2
+            horizon = 2 * truncation + len(w) + 2
         cands = []
         lo = 0  # minimal possible prefix sum (stars count 1)
         hi = 0.0  # maximal (stars count K; inf if unbounded alphabet)
@@ -338,7 +327,7 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
                 hi += w[m - 1]
             else:
                 lo += 1
-                hi = math.inf if maxletter is None else hi + maxletter
+                hi = math.inf if truncation is None else hi + truncation
             tm = m * (m + 1) // 2
             if lo <= tm:
                 cands.append(m)
@@ -346,32 +335,17 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
                 return cands, True
         return cands, False
 
-    def alpha(g, w: Window) -> float:
-        w = canon(w)
-        if letters is not None and not (1 <= g <= truncation):
-            return 0.0
-        if g < 1:
-            return 0.0
+    def infimum(g, w, letters):
         cands, capped = _candidates(w)
         if not capped:
-            return base(g)  # tail infimum of the uniform family is 0
-        return base(g) + rest * min(q_family(m, g) for m in cands)
+            return 0.0  # tail infimum of the uniform family
+        return min(q_family(m, g) for m in cands)
 
-    def positive(w: Window) -> tuple:
-        w = canon(w)
-        out = set(range(1, len(c) + 1))
+    def reachable(w):
         cands, capped = _candidates(w)
-        if capped:
-            out.update(range(1, max(cands) + 1))
-        return tuple(sorted(out))
+        return range(1, max(cands) + 1) if capped else ()
 
-    return KernelSpec(
-        name="ladder",
-        parameters={"c": c, "truncation": truncation},
-        alphabet=letters,
-        alpha=alpha,
-        positive_letters=None if letters is not None else positive,
-    )
+    return _spontaneous_kernel("ladder", c_seq, truncation, infimum, reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +547,12 @@ def make_cyclic4(theta: ThetaWeights) -> KernelSpec:
             out *= 1.0 - theta.s(j)
         return out
 
-    def beta_known(n):
-        return math.fsum(theta.theta(j) for j in range(n + 1))
-
     return _walk_kernel(
         "cyclic4",
         {"theta": theta.label},
         nbhd,
         theta,
-        beta_known_prefix=beta_known,
+        beta_known_prefix=_beta_known_prefix(theta),
         rho_tilde_claimed=rho_tilde_claimed,
     )
 
@@ -602,15 +573,7 @@ def make_graph_walk(adjacency: dict, theta: ThetaWeights) -> KernelSpec:
             if v not in adjacency[u]:
                 raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         closed[v] = set(adjacency[v]) | {v}
-    # connectivity
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for u in closed[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(verts):
+    if len(_bfs_dist(closed, {verts[0]})) != len(verts):
         raise ValueError("graph must be connected")
     return _walk_kernel(
         "graph-walk", {"vertices": verts, "theta": theta.label}, closed, theta
@@ -639,6 +602,47 @@ def _run_lengths(w: Window, v) -> tuple:
     return taus, True
 
 
+def _run_length_kernel(
+    name: str, parameters: dict, letters: tuple, hold: Callable[[int], float], **forms
+) -> KernelSpec:
+    """KernelSpec of a chain that holds x_{-1} or moves, by its run length.
+
+    With tau the run length of x_{-1} = v, p(v | x) = hold(tau) and the
+    other letters share 1 - hold(tau) equally; hold must not decrease.
+    alpha(g, w) is the minimum over the values v that x_{-1} can take:
+    hold at v's shortest allowed run when g = v, and otherwise 0.0 if v's
+    run can be unbounded, else (1 - hold) at its longest run over |A| - 1.
+    """
+    share = len(letters) - 1
+
+    def alpha(g, w: Window) -> float:
+        if g not in letters:
+            return 0.0
+        w = canon(w)
+        best = None
+        for v in letters:
+            taus, unbounded = _run_lengths(w, v)
+            if not (taus or unbounded):
+                continue
+            if v == g:
+                # hold increases: min at the smallest tau, len(w) + 1 when w is empty
+                val = hold(taus[0] if taus else len(w) + 1)
+            elif unbounded:
+                val = 0.0
+            else:
+                val = (1.0 - hold(taus[-1])) / share
+            best = val if best is None else min(best, val)
+        return 0.0 if best is None else best
+
+    return KernelSpec(
+        name=name,
+        parameters=parameters,
+        alphabet=letters,
+        alpha=alpha,
+        closed_forms=forms,
+    )
+
+
 def make_flipflop(r: Callable[[int], float]) -> KernelSpec:
     """Binary kernel that holds its value with run-length-increasing odds.
 
@@ -648,28 +652,8 @@ def make_flipflop(r: Callable[[int], float]) -> KernelSpec:
     admissible, but all-0 and all-1 windows head separate closed classes:
     the coalescence route must reject this kernel.
     """
-
-    def alpha(g, w: Window) -> float:
-        if g not in (0, 1):
-            return 0.0
-        w = canon(w)
-        best = None
-        taus, unbounded = _run_lengths(w, g)
-        if taus or unbounded:
-            # r increases: min at the smallest tau, len(w) + 1 when w is empty
-            best = r(taus[0] if taus else len(w) + 1)
-        taus, unbounded = _run_lengths(w, 1 - g)
-        if taus or unbounded:
-            val = 0.0 if unbounded else 1.0 - r(taus[-1])
-            best = val if best is None else min(best, val)
-        return 0.0 if best is None else best
-
-    return KernelSpec(
-        name="flipflop",
-        parameters={"r": getattr(r, "label", "callable")},
-        alphabet=(0, 1),
-        alpha=alpha,
-        closed_forms={"r": r},
+    return _run_length_kernel(
+        "flipflop", {"r": getattr(r, "label", "callable")}, (0, 1), r, r=r
     )
 
 
@@ -703,9 +687,6 @@ def make_three_letter_alternating(
     if r is None:
         r = lambda n: 1.0 - 2.0**-n
 
-    def _r(n):
-        return 0.0 if n == 1 else r(n)
-
     if restrict_histories:
 
         def alpha(g, w: Window) -> float:
@@ -736,33 +717,11 @@ def make_three_letter_alternating(
             admissible_window=admissible,
         )
 
-    def alpha(g, w: Window) -> float:
-        if g not in letters:
-            return 0.0
-        w = canon(w)
-        best = None
-        # larger taus only increase r: the finite list suffices
-        taus, _ = _run_lengths(w, g)
-        for t in taus:
-            val = _r(t)
-            best = val if best is None else min(best, val)
-        for v in letters:
-            if v == g:
-                continue
-            taus, unbounded = _run_lengths(w, v)
-            if unbounded:
-                best = 0.0 if best is None else min(best, 0.0)
-                continue
-            for t in taus:
-                val = 0.5 if t == 1 else (1.0 - r(t)) / 2.0
-                best = val if best is None else min(best, val)
-        return 0.0 if best is None else best
-
-    return KernelSpec(
-        name="three-letter-alternating",
-        parameters={"restrict_histories": False},
-        alphabet=letters,
-        alpha=alpha,
+    return _run_length_kernel(
+        "three-letter-alternating",
+        {"restrict_histories": False},
+        letters,
+        lambda n: 0.0 if n == 1 else r(n),
     )
 
 
@@ -800,29 +759,17 @@ def build_kernel(name: str, params: dict) -> KernelSpec:
             parse_theta(p.pop("theta", "geometric:0.5")),
             float(p.pop("delta", 0.3)),
         )
-    if name == "imitation":
+    if name in ("imitation", "imitation-general", "ladder"):
         trunc = p.pop("truncation", None)
-        return make_imitation(
-            _parse_floats(p.pop("c", "0.3,0.2")),
-            None if trunc in (None, "none") else int(trunc),
-        )
-    if name == "imitation-general":
-        trunc = p.pop("truncation", None)
-        fam = p.pop("f", "uniform")
-        if fam != "uniform":
+        if name == "imitation-general" and p.pop("f", "uniform") != "uniform":
             raise ValueError("only the uniform lookback family is predefined")
-        return make_imitation_general(
-            _parse_floats(p.pop("c", "0.3,0.2")),
-            uniform_lookback,
-            None if trunc in (None, "none") else int(trunc),
-        )
-    if name == "ladder":
-        trunc = p.pop("truncation", None)
-        return make_ladder(
-            _parse_floats(p.pop("c", "0.3,0.2")),
-            None,
-            None if trunc in (None, "none") else int(trunc),
-        )
+        c = _parse_floats(p.pop("c", "0.3,0.2"))
+        trunc = None if trunc in (None, "none") else int(trunc)
+        if name == "imitation":
+            return make_imitation(c, trunc)
+        if name == "ladder":
+            return make_ladder(c, None, trunc)
+        return make_imitation_general(c, uniform_lookback, trunc)
     if name == "cyclic4":
         return make_cyclic4(parse_theta(p.pop("theta", "geometric:0.5")))
     if name == "graph-walk":

@@ -54,10 +54,6 @@ STAR = _StarType()
 Window = tuple
 
 
-def is_star(x) -> bool:
-    return x is STAR
-
-
 def canon(w: Sequence) -> Window:
     """Canonical form: trailing STARs stripped (they carry no information)."""
     w = tuple(w)
@@ -65,10 +61,6 @@ def canon(w: Sequence) -> Window:
     while n and w[n - 1] is STAR:
         n -= 1
     return w[:n]
-
-
-def window(*symbols) -> Window:
-    return canon(symbols)
 
 
 def known_positions(w: Window):
@@ -207,12 +199,6 @@ def _scan(kernel: KernelSpec, u: Optional[float], w: Window):
     letter; u=None scans every letter and gives (STAR, beta(w))."""
     u = math.inf if u is None else u
     return _pick(_table(kernel, w, u), u)
-
-
-def alpha_star(kernel: KernelSpec, w: Window) -> float:
-    """Mass of the 'unknown' outcome: 1 - beta(w), clamped to [0, 1]."""
-    v = 1.0 - kernel.beta(canon(w))
-    return min(1.0, max(0.0, v))
 
 
 def sample_symbol(kernel: KernelSpec, u: float, w: Window):

@@ -283,6 +283,34 @@ def test_round_budget_exhaustion_maps_to_exit_4(tmp_path, capsys):
     assert payload["type"] == "MaxRoundsExceeded"
 
 
+def test_shared_budget_exhaustion_gives_the_expected_wait(tmp_path, capsys):
+    rc = _run(
+        "sample",
+        "--kernel",
+        "graph-walk",
+        "--param",
+        "graph=path:5",
+        "--param",
+        "theta=list:0.5,0.3,0.2",
+        "--algo",
+        "algo2",
+        "--reps",
+        "1",
+        "--max-rounds",
+        "20",
+        "--seed",
+        "1",
+        "--out",
+        str(tmp_path / "path5"),
+    )
+    assert rc == 4
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["type"] == "MaxRoundsExceeded"
+    assert payload["message"].startswith("no coalescence within 20 windows; ")
+    assert "agreement is 0.00231" in payload["message"]
+    assert "about 432 windows" in payload["message"]
+
+
 def test_plan_walk_budget_maps_to_exit_4(tmp_path, capsys):
     # graph-walk path:8 would visit about 7x the 96 181 cells of path:7;
     # the default budget stops its plan after about a second

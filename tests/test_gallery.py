@@ -442,11 +442,13 @@ def _halving_lookback(m):
 def _pinned_kernels():
     """(label, kernel, window symbols, max length, letters g to query)."""
     for a, t in ((0.5, 0.5), (0.25, 0.7)):
-        yield f"flipflop:{a},{t}", make_flipflop(flipflop_r(a, t)), (0, 1), 8, range(-1, 3)
+        kern = make_flipflop(flipflop_r(a, t))
+        yield f"flipflop:{a},{t}", kern, (0, 1), 8, range(-1, 3)
     for label, r in (("default", None), ("one-minus:0.3,0.6", flipflop_r(0.3, 0.6))):
         kern = make_three_letter_alternating(r, restrict_histories=False)
         yield f"three-letter:{label}", kern, (0, 1, 2), 6, range(-1, 4)
-    yield "three-letter:restricted", make_three_letter_alternating(), (0, 1, 2), 6, range(-1, 4)
+    kern = make_three_letter_alternating()
+    yield "three-letter:restricted", kern, (0, 1, 2), 6, range(-1, 4)
     for trunc in (None, 4):
         symbols = (1, 2, 3, 4) if trunc else (1, 2, 3, 7)
         params = {"c": "0.3,0.2"}
@@ -470,7 +472,8 @@ def test_alpha_bits_are_pinned():
         for n in range(depth + 1):
             for w in itertools.product(symbols + (STAR,), repeat=n):
                 bits = [kern.alpha(g, w).hex() for g in gs]
-                h.update(f"{label}|{w!r}|{tuple(kern.letters_for(w))!r}|{bits}".encode())
+                letters = tuple(kern.letters_for(w))
+                h.update(f"{label}|{w!r}|{letters!r}|{bits}".encode())
                 triples += len(bits)
     assert triples == PINNED_TRIPLES
     assert h.hexdigest() == PINNED_ALPHA_SHA256

@@ -436,6 +436,20 @@ def test_round_budget_exhaustion_keeps_the_partial_tableau():
     assert set(range(-1, 1)) <= set(tab.temp)
 
 
+def test_shared_budget_message_gives_the_expected_wait():
+    # path:5 with list weights fully agrees in one window of about 432,
+    # so 20 windows run out; the message says so in those figures
+    kern = _path5("list:0.5,0.3,0.2")
+    plan = prepare_coalescence(kern)
+    assert plan.shared
+    with pytest.raises(MaxRoundsExceeded) as exc:
+        run_algorithm2(kern, 0, StreamKey(1, 0), max_rounds=20, plan=plan)
+    msg = str(exc.value)
+    assert msg.startswith("no coalescence within 20 windows; ")
+    assert "phase-1 agreement is 0.00231" in msg
+    assert "about 432 windows are expected" in msg
+
+
 # ------------------------------------------------- reference equivalence
 
 
