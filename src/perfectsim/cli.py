@@ -168,6 +168,13 @@ def cmd_sample(cfg) -> int:
     plan = None
     if algo == "algo2":
         plan = prepare_coalescence(kernel, cfg["nhat_max"], cfg["n0_max"])
+        cap = max_rounds if max_rounds else 10**4
+        if plan.expected_windows is not None and plan.expected_windows > cap:
+            _warn(
+                "expected-windows",
+                f"the plan expects about {plan.expected_windows:.0f} windows "
+                f"per draw, more than the cap of {cap} (--max-rounds)",
+            )
     rows = []
     marginal: dict = {}
     abs_ts = []
@@ -236,6 +243,7 @@ def cmd_sample(cfg) -> int:
     if plan is not None:
         summary["coupling"] = plan.coupling
         summary["phase1_agreement"] = plan.agreement
+        summary["expected_windows"] = plan.expected_windows
     _write_json(f"{cfg['out']}.json", summary)
     return 0
 
@@ -370,6 +378,7 @@ def cmd_analyze_markov(cfg) -> int:
         payload["n0"] = None
         payload["coupling"] = None
         payload["phase1_agreement"] = None
+        payload["expected_windows"] = None
         payload["reports"] = list(found.reports)
         try:
             analysis = build_markov_analysis(kernel, 1)
@@ -382,6 +391,7 @@ def cmd_analyze_markov(cfg) -> int:
         payload["n0"] = plan.n0
         payload["coupling"] = plan.coupling
         payload["phase1_agreement"] = plan.agreement
+        payload["expected_windows"] = plan.expected_windows
         payload["reports"] = []
 
     if analysis is not None:
@@ -477,6 +487,10 @@ def _err(kind: str, exc: Exception) -> None:
         json.dumps({"error": kind, "type": type(exc).__name__, "message": str(exc)})
         + "\n"
     )
+
+
+def _warn(kind: str, message: str) -> None:
+    sys.stderr.write(json.dumps({"warning": kind, "message": message}) + "\n")
 
 
 if __name__ == "__main__":

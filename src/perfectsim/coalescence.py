@@ -9,11 +9,15 @@ known and re-reads that context's own uniform against the freshly added
 mass, exactly as the single-stream sampler does, so earlier decisions are
 never contradicted.
 
-The trajectories share one uniform per time (the grand coupling of Propp
-& Wilson) whenever the plan's exact phase-1 agreement probability under
-that coupling is positive; otherwise each past reads its own uniform
-stream.  The shared coupling is an extension: the paper's abstract, the
-only part of the paper at hand, does not say which coupling it uses.
+The trajectories share one uniform per time whenever the plan's exact
+phase-1 agreement probability under that coupling is positive; otherwise
+each past reads its own uniform stream.  Under the shared coupling each
+phase-1 time lays [0, 1) out as a multigamma coupler (Murdoch & Green
+1998): first the mass that every live context gives each letter, in one
+common segment, then each context's remainder, then STAR.  A uniform in
+the common segment gives every past the same letter.  The shared coupling
+is an extension: the paper's abstract, the only part of the paper at
+hand, does not say which coupling it uses.
 
 n̂ is the smallest order whose Markov lower-bound chain (transition mass
 alpha(g|w)/beta(w) on admissible windows) has a unique closed aperiodic
@@ -26,9 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, islice, product
+from operator import sub
 
 from .backward import (
     MaxRoundsExceeded,
@@ -282,51 +289,106 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
 
 # cells phase1_agreement may visit before it gives up: graph-walk path:7
 # with geometric:0.5 weights (n₀ = 6), the largest planned walk, visits
-# 96 181 (0.9 s on one core of a 2-core VM), and each further vertex
-# multiplies the count by about 7
+# 96 306 and keeps 14 217 layouts (1.6-1.9 s and about 33 MB on one core
+# of a 2-core VM); path:8 passes the budget after about 4.4 s and 73 MB,
+# as each further vertex multiplies the count by about 7
 PHASE1_MAX_CELLS = 200_000
+
+
+def _layout(kernel: KernelSpec, ctxs: tuple, scans: dict):
+    """The multigamma layout of [0, 1) for the live contexts ``ctxs``.
+
+    Returns (letters, common, rests, masses).  ``common`` is the
+    cumulative common mass m(g) = min over ``ctxs`` of max(alpha(g|ctx), 0),
+    letter by letter in alphabet order, ending at M; ``rests[i]`` is
+    context i's cumulative remainder alpha(g|ctx) - m(g), stacked from M
+    in the same order and ending at its total; STAR takes the rest of
+    [0, 1).  ``masses[i]`` holds context i's alpha on ``letters_for``, as
+    ``_table`` scans and bounds-checks it, a letter missing there having
+    mass 0; ``scans`` (context -> masses and their clamped values in
+    alphabet order, filled in place) keeps them for the next layout that
+    needs them.
+    """
+    letters = kernel.alphabet
+    masses, pos = [], []
+    for c in ctxs:
+        scan = scans.get(c)
+        if scan is None:
+            row = _table(kernel, c)[2]
+            scan = scans[c] = row, [max(row.get(g, 0.0), 0.0) for g in letters]
+        masses.append(scan[0])
+        pos.append(scan[1])
+    mins = list(map(min, zip(*pos)))
+    common = array("d", accumulate(mins))
+    top = common[-1]
+    # arrays, not lists of floats: a large plan holds a million of these
+    rests = [
+        array("d", islice(accumulate(map(sub, p, mins), initial=top), 1, None))
+        for p in pos
+    ]
+    return letters, common, rests, masses
+
+
+def _letters_at(layout, u):
+    """(letter, boundary) of every context of ``layout`` at uniform u.
+
+    Below M one bisect picks the same letter for every context; above it
+    each context bisects its own remainders, and u past its total gives
+    (STAR, that total), the float boundary phase 2 stacks on.
+    """
+    letters, common, rests, _ = layout
+    if u < common[-1]:
+        i = bisect_right(common, u)
+        return [(letters[i], common[i])] * len(rests)
+    out = []
+    for rest in rests:
+        i = bisect_right(rest, u)
+        out.append((letters[i], rest[i]) if i < len(rest) else (STAR, rest[-1]))
+    return out
 
 
 def phase1_agreement(
     kernel: KernelSpec,
     analysis: MarkovAnalysis,
     n0: int,
-    tables: dict | None = None,
+    layouts: dict | None = None,
 ) -> float:
     """Exact probability that phase 1 under one shared uniform per time
     fixes a window's n̂ newest positions.
 
-    Every past's trajectory reads the same n₀ uniforms, so at each time
-    the union of the trajectories' cumulative-mass breakpoints cuts [0, 1)
-    into cells on which every trajectory's letter is constant.  The walk
-    refines the window time by time, oldest first, and sums the products
-    of cell lengths over the paths on which all trajectories draw the
-    same letter, not STAR, at each of the n̂ newest times.
+    Every past's trajectory reads the same n₀ uniforms, laid out at each
+    time by ``_layout`` over the live contexts, so the layout's
+    breakpoints cut [0, 1) into cells on which every trajectory's letter
+    is constant.  The walk refines the window time by time, oldest first,
+    and sums the products of cell lengths over the paths on which all
+    trajectories draw the same letter, not STAR, at each of the n̂ newest
+    times.
 
-    ``tables`` (a dict, filled in place) receives the ``_table`` of every
-    phase-1 context the walk scans, keyed as ``run_algorithm2`` keys
-    them: newest letter first, then the past.  Every context a phase-1
-    trajectory can reach is there, except those past a disagreement the
-    walk prunes at one of the n̂ newest times (so none when n̂ = 1).  The
-    walk raises ExplosionGuard once it has visited more than
-    ``PHASE1_MAX_CELLS`` cells, which bounds its time and the size of
-    ``tables``.
+    ``layouts`` (a dict, filled in place) receives the layout of every
+    tuple of live contexts the walk visits, keyed as ``run_algorithm2``
+    keys them: the past's contexts in ``analysis.states`` order, each
+    newest letter first.  Every tuple a phase-1 run can reach is there,
+    except those past a disagreement the walk prunes at one of the n̂
+    newest times (so none when n̂ = 1).  The walk raises ExplosionGuard
+    once it has visited more than ``PHASE1_MAX_CELLS`` cells, which
+    bounds its time and the size of ``layouts``.
     """
     nhat = analysis.order
-    if tables is None:
-        tables = {}
+    if layouts is None:
+        layouts = {}
+    scans: dict = {}
     cells = 0
 
     def walk(j, ctxs):
         nonlocal cells
-        tabs = []
-        for c in ctxs:
-            tab = tables.get(c)
-            if tab is None:
-                tab = tables[c] = _table(kernel, c)
-            tabs.append(tab)
+        lay = layouts.get(ctxs)
+        if lay is None:
+            lay = layouts[ctxs] = _layout(kernel, ctxs, scans)
+        _, common, rests, _ = lay
         cuts = sorted(
-            {0.0, 1.0} | {min(max(c, 0.0), 1.0) for _, cum, _ in tabs for c in cum}
+            {0.0, 1.0}
+            | {min(c, 1.0) for c in common}
+            | {min(c, 1.0) for rest in rests for c in rest}
         )
         cells += len(cuts) - 1
         if cells > PHASE1_MAX_CELLS:
@@ -336,7 +398,7 @@ def phase1_agreement(
             )
         total = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
-            syms = [_pick(tab, lo)[0] for tab in tabs]
+            syms = [sym for sym, _ in _letters_at(lay, lo)]
             agree = syms[0] is not STAR and syms.count(syms[0]) == len(syms)
             if j >= n0 - nhat and not agree:
                 continue
@@ -344,22 +406,22 @@ def phase1_agreement(
                 total += hi - lo
             else:
                 total += (hi - lo) * walk(
-                    j + 1, [(g,) + c for g, c in zip(syms, ctxs)]
+                    j + 1, tuple((g,) + c for g, c in zip(syms, ctxs))
                 )
         return total
 
-    return walk(0, list(analysis.states))
+    return walk(0, tuple(analysis.states))
 
 
 @dataclass
 class CoalescencePlan:
-    """A kernel's resolved (n̂, n₀), coupling and phase-1 tables.
+    """A kernel's resolved (n̂, n₀), coupling and phase-1 layouts.
 
-    ``tables`` is the context -> ``_table`` dict that ``phase1_agreement``
-    filled while ``make_plan`` walked the window; ``run_algorithm2``
-    reads its phase-1 scans from it and never writes to it, so it is
-    bounded by that walk's cell budget and shared by every run (and by
-    copies made with ``dataclasses.replace``).
+    ``layouts`` is the live-contexts -> ``_layout`` dict that
+    ``phase1_agreement`` filled while ``make_plan`` walked the window;
+    ``run_algorithm2``'s shared phase 1 reads its picks from it and never
+    writes to it, so it is bounded by that walk's cell budget and shared
+    by every run (and by copies made with ``dataclasses.replace``).
     """
 
     nhat: int
@@ -368,11 +430,18 @@ class CoalescencePlan:
     index: dict  # window in C -> past_id for the per-past uniform streams
     agreement: float  # phase1_agreement under the shared coupling
     shared: bool  # phase 1 reads one uniform per time for every past
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
+    layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def coupling(self) -> str:
         return "shared" if self.shared else "per-past"
+
+    @property
+    def expected_windows(self) -> float | None:
+        """Mean windows until one fully agrees under the shared coupling:
+        agreements are i.i.d. across windows, so 1/agreement.  None under
+        per-past streams, where the plan does not know it."""
+        return 1.0 / self.agreement if self.shared and self.agreement > 0 else None
 
 
 def make_plan(
@@ -380,10 +449,10 @@ def make_plan(
 ) -> CoalescencePlan:
     """Plan for a resolved (n̂ analysis, n₀): shared uniforms whenever they
     can make phase 1 agree, per-past streams otherwise.  The plan keeps
-    the phase-1 tables its agreement walk scanned, which that walk's
+    the phase-1 layouts its agreement walk built, which that walk's
     ExplosionGuard budget bounds."""
-    tables: dict = {}
-    agreement = phase1_agreement(kernel, analysis, n0, tables)
+    layouts: dict = {}
+    agreement = phase1_agreement(kernel, analysis, n0, layouts)
     return CoalescencePlan(
         nhat=analysis.order,
         n0=n0,
@@ -391,7 +460,7 @@ def make_plan(
         index={w: i for i, w in enumerate(analysis.states)},
         agreement=agreement,
         shared=agreement > 0.0,
-        tables=tables,
+        layouts=layouts,
     )
 
 
@@ -433,14 +502,28 @@ def run_algorithm2(
 
     The plan fixes the coupling.  Under the shared one (``plan.shared``)
     phase 1 reads one uniform per time, ``uniforms(t, None)``, for every
-    past, and phase 2 re-reads that same value; otherwise every past
-    reads its own stream ``uniforms(t, past_id)`` and phase 2 the stream
-    of the window's true left context.  Either way the output is exact:
-    given the true left context b of window z, the uniforms the
-    b-trajectory reads in z are i.i.d. and independent of every older
-    window, so its letters follow the kernel; if all pasts agree on a
-    letter, that letter is b's letter; and phase 2 stacks increments on
-    the same uniform b's trajectory read, so it only extends b's scan.
+    past and picks each past's letter from the multigamma ``_layout`` of
+    the live contexts: the mass they all share first, then each
+    context's remainder, then STAR.  Phase 2 re-reads that same value.
+    Otherwise every past reads its own stream ``uniforms(t, past_id)``
+    against its own context's ``_table``, and phase 2 the stream of the
+    window's true left context.  Either way the output is exact.  Let b
+    be the true left context of window z:
+
+    - the uniforms the b-trajectory reads in z are i.i.d. and independent
+      of every older window.  Under per-past streams its letters follow
+      the kernel at once.  Under the shared one, the uniforms drawn
+      earlier in the window fix the set of live contexts; given that set
+      and b, u(t) is still uniform and each context's letter masses do
+      not change (the layout only moves where a letter's mass lies), so
+      b's trajectory still follows the kernel;
+    - if all pasts agree on a letter, that letter is b's letter;
+    - STAR is [total_b, 1) under both layouts, and the trajectory keeps
+      the float boundary its layout used (under the shared one
+      M + sum(alpha - m), not b's own cumulative sum), so phase 2 stacks
+      increments on exactly the value b's scan stopped at, with the same
+      uniform, and only extends that scan.
+
     The couplings differ in termination.  n₀-positivity makes phase-1
     agreement possible for independent streams only; under the shared
     coupling the plan's exact ``agreement > 0`` (the probability that a
@@ -448,12 +531,14 @@ def run_algorithm2(
     and independent across windows) takes its place, and the plan falls
     back to per-past streams where it is 0.
 
-    Phase 1 reads each context's ``_table`` from ``plan.tables``, which
-    the plan's agreement walk filled and no run writes, so the plan must
-    be this kernel's own.  A context that walk pruned (possible only when
-    n̂ >= 2) is scanned into a dict of this run's own, dropped when the
-    run returns.  The first phase-2 sweep of a window reads trajectory
-    b's old masses from the same two dicts.
+    Shared phase 1 reads each tuple of live contexts' layout from
+    ``plan.layouts``, which the plan's agreement walk filled and no run
+    writes, so the plan must be this kernel's own.  A tuple that walk
+    pruned (possible only when n̂ >= 2) is laid out into a dict of this
+    run's own, dropped when the run returns, as are per-past phase 1's
+    ``_table`` scans.  Each trajectory keeps its contexts' masses, from
+    which the first phase-2 sweep of a window reads trajectory b's old
+    masses.
 
     Phase 2 is event-driven: a window is swept only while its left
     n̂-context is fully known and it still has unresolved positions,
@@ -493,10 +578,10 @@ def run_algorithm2(
     thr: dict = {}
     ucache: dict = {}
     ttil: dict = {}
-    traj: dict = {}  # (z, pid) -> {time: (symbol, scan total)}
+    traj: dict = {}  # (z, pid) -> {time: (symbol, boundary, masses)}
     first_done: set = set()  # windows whose first phase-2 sweep has run
-    known = plan.tables  # phase-1 context -> its _table, read only
-    tables: dict = {}  # contexts the plan's walk pruned, for this run only
+    known = plan.layouts  # live contexts -> their _layout, read only
+    local: dict = {}  # pruned layouts or per-past tables, this run only
     unresolved: dict = {}  # window z -> count of STAR positions
     b_ready: dict = {}  # window z -> its completed left context
     active: set = set()  # b known and unresolved positions remain
@@ -595,12 +680,10 @@ def run_algorithm2(
     while True:
         if n > max_rounds:
             msg = f"no coalescence within {max_rounds} windows"
-            if shared:
-                # agreements are i.i.d. across windows: 1/agreement is the
-                # mean wait for the first window whose pasts all agree
+            if plan.expected_windows is not None:
                 msg += (
                     f"; the plan's phase-1 agreement is {plan.agreement:.3g}, "
-                    f"so about {1.0 / plan.agreement:.0f} windows are expected "
+                    f"so about {plan.expected_windows:.0f} windows are expected "
                     "before one fully agrees"
                 )
             raise MaxRoundsExceeded(msg, SimulationTableau(dict(temp), n - 1, -k, 0))
@@ -610,20 +693,31 @@ def run_algorithm2(
         lo, hi = l(n), r(n)
 
         # phase 1: coupled trajectories through the fresh window z = n
-        for a in C:
-            pid = idx[a]
-            tvals = {}
-            ctx = a
+        tvals = [{} for _ in C]
+        if shared:
+            ctxs = C
             for t in range(lo, hi + 1):
-                tab = known.get(ctx) or tables.get(ctx)
-                if tab is None:
-                    tab = tables[ctx] = _table(kernel, ctx)
-                tvals[t] = picked = _pick(tab, _u(t, pid))
-                ctx = (picked[0],) + ctx
-            traj[(n, pid)] = tvals
+                lay = known.get(ctxs) or local.get(ctxs)
+                if lay is None:
+                    lay = local[ctxs] = _layout(kernel, ctxs, {})
+                picks = _letters_at(lay, _u(t, None))
+                for tv, (sym, acc), masses in zip(tvals, picks, lay[3]):
+                    tv[t] = (sym, acc, masses)
+                ctxs = tuple((sym,) + c for (sym, _), c in zip(picks, ctxs))
+        else:
+            for tv, pid, ctx in zip(tvals, pids, C):
+                for t in range(lo, hi + 1):
+                    tab = local.get(ctx)
+                    if tab is None:
+                        tab = local[ctx] = _table(kernel, ctx)
+                    sym, acc = _pick(tab, _u(t, pid))
+                    tv[t] = (sym, acc, tab[2])
+                    ctx = (sym,) + ctx
+        for pid, tv in zip(pids, tvals):
+            traj[(n, pid)] = tv
         unresolved[n] = n0
         for t in range(lo, hi + 1):
-            syms = {traj[(n, pid)][t][0] for pid in pids}
+            syms = {tv[t][0] for tv in tvals}
             if len(syms) == 1 and STAR not in syms:
                 temp[t] = STAR  # placeholder so _set_letter journals sanely
                 _set_letter(t, syms.pop(), -n)
@@ -656,7 +750,7 @@ def run_algorithm2(
                     continue
                 u = _u(t, pid)
                 if first:
-                    sym0, acc0 = tz[t]
+                    sym0, acc0, masses = tz[t]
                     if sym0 is not STAR:
                         # trajectory b already drew this letter with the same
                         # uniform; the merge only failed because another past
@@ -664,21 +758,18 @@ def run_algorithm2(
                         _set_letter(t, sym0, -n)
                         continue
                     base = acc0
+                    old = dict(masses)  # _stack fills in letters it misses
                     w_old = (
                         tuple(tz[j][0] for j in range(t - 1, l(z) - 1, -1)) + b
                     )
                 else:
                     base = thr[t]
                     w_old = canon(_context(t, l(n - 1), _prevval))
+                    old = {}
                 if not u >= base:
                     raise threshold_violation(kernel, t, u, base)
                 w_new = canon(_context(t, lo, temp.__getitem__))
-                # a first sweep's old window is trajectory b's phase-1
-                # context, whose masses its table already holds
-                old = known.get(w_old) or tables.get(w_old)
-                sym, acc, _ = _stack(
-                    kernel, u, base, w_new, w_old, {} if old is None else old[2]
-                )
+                sym, acc, _ = _stack(kernel, u, base, w_new, w_old, old)
                 if sym is STAR:
                     thr[t] = acc
                 else:

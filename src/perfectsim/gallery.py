@@ -752,8 +752,17 @@ def _parse_floats(text: str) -> tuple:
 
 
 def build_kernel(name: str, params: dict) -> KernelSpec:
-    """Build a gallery kernel from CLI-style string parameters."""
+    """Build a gallery kernel from CLI-style string parameters; a
+    parameter the kernel does not take raises ValueError."""
     p = dict(params)
+    kernel = _build(name, p)
+    if p:
+        raise ValueError(f"kernel {name!r} takes no parameter {', '.join(sorted(p))}")
+    return kernel
+
+
+def _build(name: str, p: dict) -> KernelSpec:
+    """The kernel ``name``, popping from ``p`` every parameter it reads."""
     if name == "autoregressive":
         return make_autoregressive(
             parse_theta(p.pop("theta", "geometric:0.5")),

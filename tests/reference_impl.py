@@ -10,7 +10,9 @@ run cut short).
   sweeps all windows newest-first.  It is quadratic-ish in the number of
   rounds.  Like the sampler, it reads the stream id from the plan: one
   uniform per time under the shared coupling, one stream per past
-  otherwise.
+  otherwise.  Under the shared coupling it lays each phase-1 time out
+  itself, by a running sum over the alphabet: first the mass every live
+  context shares, then each context's remainder, then STAR.
 - ``run_algorithm1_ref`` runs the spontaneous-symbol round loop with an
   increment step that rebuilds both windows of every re-read and scans
   alpha on each, where ``run_algorithm1`` keeps each open time's last
@@ -106,12 +108,35 @@ def run_algorithm2_ref(
         prev = dict(temp)
 
         for a in C:
-            pid = idx[a]
-            tvals = {}
-            for t in range(l(n), r(n) + 1):
-                ctx = tuple(tvals[j][0] for j in range(t - 1, l(n) - 1, -1)) + a
-                tvals[t] = _scan(kernel, _u(t, pid), ctx)
-            traj[(n, pid)] = tvals
+            traj[(n, idx[a])] = {}
+        for t in range(l(n), r(n) + 1):
+            ctxs = {
+                a: tuple(traj[(n, idx[a])][j][0] for j in range(t - 1, l(n) - 1, -1))
+                + a
+                for a in C
+            }
+            if not plan.shared:
+                for a in C:
+                    traj[(n, idx[a])][t] = _scan(kernel, _u(t, idx[a]), ctxs[a])
+                continue
+            u = _u(t, None)
+            pos = {
+                a: [max(kernel.alpha(g, c), 0.0) for g in kernel.alphabet]
+                for a, c in ctxs.items()
+            }
+            common = [min(col) for col in zip(*pos.values())]
+            for a in C:
+                # the shared segment, then this context's remainders
+                acc, pick = 0.0, None
+                for g, m in zip(kernel.alphabet, common):
+                    acc += m
+                    if pick is None and u < acc:
+                        pick = (g, acc)
+                for g, x, m in zip(kernel.alphabet, pos[a], common):
+                    acc += x - m
+                    if pick is None and u < acc:
+                        pick = (g, acc)
+                traj[(n, idx[a])][t] = pick or (STAR, acc)
         for t in range(l(n), r(n) + 1):
             syms = {traj[(n, idx[a])][t][0] for a in C}
             if len(syms) == 1 and STAR not in syms:

@@ -147,6 +147,7 @@ def test_analyze_markov_reports_structure(tmp_path):
     assert payload["phase1_agreement"] == prepare_coalescence(
         build_kernel("cyclic4", {})
     ).agreement
+    assert payload["expected_windows"] == 1.0 / payload["phase1_agreement"]
     matrix = (tmp_path / "cycle-matrix.csv").read_text().splitlines()
     assert matrix[1].split(",")[0] == "from\\to"
     assert len(matrix) == 2 + 4  # comment, header, one row per window
@@ -167,14 +168,17 @@ def test_coupled_route_records_its_coupling(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "c4.json").read_text())
     assert summary["coupling"] == "shared"
-    assert summary["phase1_agreement"] == pytest.approx(5 / 72, rel=0, abs=1e-12)
-    # on the 5-cycle with these weights no shared uniform makes every
-    # past agree, so the plan keeps per-past streams
+    # derived by hand in test_coupled_laws::test_cyclic4_agreement_is_one_sixth
+    assert summary["phase1_agreement"] == pytest.approx(1 / 6, rel=0, abs=1e-12)
+    assert summary["expected_windows"] == pytest.approx(6.0, rel=0, abs=1e-9)
+    # the 5-cycle with these weights: the cumulative layout could never
+    # make every past agree, the multigamma one can (test_coupled_laws
+    # enumerates the exact agreement)
     argv = ["--kernel", "graph-walk", "--param", "graph=cycle:5"]
     argv += ["--param", "theta=list:0.5,0.3,0.2", "--out", str(tmp_path / "c5")]
     assert _run("analyze-markov", *argv) == 0
     payload = json.loads((tmp_path / "c5.json").read_text())
-    assert (payload["coupling"], payload["phase1_agreement"]) == ("per-past", 0.0)
+    assert payload["coupling"] == "shared" and payload["phase1_agreement"] > 0.05
 
 
 def test_analyze_markov_reports_a_null_order_honestly(tmp_path):
@@ -186,6 +190,7 @@ def test_analyze_markov_reports_a_null_order_honestly(tmp_path):
     assert payload["n0"] is None
     assert payload["coupling"] is None
     assert payload["phase1_agreement"] is None
+    assert payload["expected_windows"] is None
     assert len(payload["reports"]) == 6
     assert payload["n_closed_classes"] == 2  # order-1 fallback analysis
 
@@ -284,12 +289,15 @@ def test_round_budget_exhaustion_maps_to_exit_4(tmp_path, capsys):
 
 
 def test_shared_budget_exhaustion_gives_the_expected_wait(tmp_path, capsys):
+    # path:7 with list weights expects about 713 windows per draw (the
+    # enumeration in test_coupled_laws gives its agreement): one warning
+    # before the draws, then the cap of 20 runs out
     rc = _run(
         "sample",
         "--kernel",
         "graph-walk",
         "--param",
-        "graph=path:5",
+        "graph=path:7",
         "--param",
         "theta=list:0.5,0.3,0.2",
         "--algo",
@@ -301,19 +309,39 @@ def test_shared_budget_exhaustion_gives_the_expected_wait(tmp_path, capsys):
         "--seed",
         "1",
         "--out",
-        str(tmp_path / "path5"),
+        str(tmp_path / "path7"),
     )
     assert rc == 4
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["type"] == "MaxRoundsExceeded"
-    assert payload["message"].startswith("no coalescence within 20 windows; ")
-    assert "agreement is 0.00231" in payload["message"]
-    assert "about 432 windows" in payload["message"]
+    warning, error = map(json.loads, capsys.readouterr().err.strip().splitlines())
+    assert warning["warning"] == "expected-windows"
+    assert warning["message"] == (
+        "the plan expects about 713 windows per draw, more than the cap of 20 "
+        "(--max-rounds)"
+    )
+    assert error["type"] == "MaxRoundsExceeded"
+    assert error["message"].startswith("no coalescence within 20 windows; ")
+    assert "agreement is 0.0014" in error["message"]
+    assert "about 713 windows" in error["message"]
+
+
+def test_expected_wait_warning_compares_with_the_cap(tmp_path, capsys):
+    # cyclic4 expects 6 windows per draw: a cap of 7 draws no warning, a
+    # cap of 5 one (no draws needed, the plan alone decides)
+    argv = ["sample", "--kernel", "cyclic4", "--algo", "algo2", "--reps", "0"]
+    assert _run(*argv, "--max-rounds", "7", "--out", str(tmp_path / "a")) == 0
+    assert capsys.readouterr().err == ""
+    assert _run(*argv, "--max-rounds", "5", "--out", str(tmp_path / "b")) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "warning": "expected-windows",
+        "message": "the plan expects about 6 windows per draw, more than the "
+        "cap of 5 (--max-rounds)",
+    }
 
 
 def test_plan_walk_budget_maps_to_exit_4(tmp_path, capsys):
-    # graph-walk path:8 would visit about 7x the 96 181 cells of path:7;
-    # the default budget stops its plan after about a second
+    # graph-walk path:8 would visit about 7x the 96 306 cells of path:7;
+    # the default budget stops its plan after a few seconds
     rc = _run(
         "analyze-markov",
         "--kernel",
@@ -329,6 +357,16 @@ def test_plan_walk_budget_maps_to_exit_4(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "budget-exceeded"
     assert payload["type"] == "ExplosionGuard"
+
+
+@pytest.mark.parametrize("command", ["validate", "sample"])
+def test_misspelled_kernel_parameter_is_a_config_error(tmp_path, capsys, command):
+    argv = [command, "--kernel", "flipflop", "--param", "thetaa=geometric:0.9"]
+    assert _run(*argv, "--out", str(tmp_path / "ff")) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-error"
+    assert "takes no parameter thetaa" in payload["message"]
+    assert not (tmp_path / "ff.json").exists()
 
 
 def test_missing_kernel_is_a_config_error(capsys):

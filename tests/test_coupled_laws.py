@@ -28,6 +28,7 @@ from perfectsim.backward import MaxRoundsExceeded, run_algorithm1, run_joint_tab
 from perfectsim.coalescence import prepare_coalescence, run_algorithm2
 from perfectsim.gallery import build_kernel
 from perfectsim.streams import StreamKey
+from test_markov import _mirrored
 
 
 class _Path:
@@ -97,6 +98,30 @@ def _cyclic4(theta):
     return build_kernel("cyclic4", {"theta": theta})
 
 
+def _graph_walk(graph, theta="list:0.5,0.3,0.2"):
+    return build_kernel("graph-walk", {"graph": graph, "theta": theta})
+
+
+# every kernel below has n̂ = 1 and a shared plan; cyclic4 goes by its
+# weights, graph-walk (with list:0.5,0.3,0.2 weights) by its graph
+KERNELS = {
+    "geometric:0.4": lambda: _cyclic4("geometric:0.4"),
+    "geometric:0.5": lambda: _cyclic4("geometric:0.5"),
+    "list:0.5,0.3,0.2": lambda: _cyclic4("list:0.5,0.3,0.2"),
+    "path:3": lambda: _graph_walk("path:3"),
+    "path:5": lambda: _graph_walk("path:5"),
+    "path:7": lambda: _graph_walk("path:7"),
+    "cycle:5": lambda: _graph_walk("cycle:5"),
+    "three-letter-alternating": lambda: build_kernel("three-letter-alternating", {}),
+    "mirrored": _mirrored,
+}
+
+
+@lru_cache(maxsize=None)
+def _kernel(name):
+    return KERNELS[name]()
+
+
 def _plan(kernel, shared):
     return dataclasses.replace(prepare_coalescence(kernel), shared=shared)
 
@@ -110,9 +135,9 @@ def _stops_in_window_zero(kernel, plan, key, uniforms=None):
 
 
 @lru_cache(maxsize=None)
-def _window_zero_law(theta, shared):
-    """Exact P(rounds_used = 0) at k = 0 on cyclic4."""
-    kern = _cyclic4(theta)
+def _window_zero_law(name, shared):
+    """Exact P(rounds_used = 0) at k = 0 on ``KERNELS[name]``."""
+    kern = _kernel(name)
     plan = _plan(kern, shared)
     key = StreamKey(0)
     return sum(
@@ -124,28 +149,51 @@ def _window_zero_law(theta, shared):
     )
 
 
-STOPPING_CASES = [("geometric:0.4", 0.003981), ("list:0.5,0.3,0.2", 0.002724)]
-
-
-@pytest.mark.parametrize("theta,per_past", STOPPING_CASES)
-def test_window_zero_stopping_law_is_the_plans_agreement(theta, per_past):
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_window_zero_stopping_law_is_the_plans_agreement(name):
     # n̂ = 1: the run stops in window 0 exactly when phase 1 fixes the
     # newest position, the event whose probability the plan computes
-    plan = prepare_coalescence(_cyclic4(theta))
+    plan = prepare_coalescence(_kernel(name))
     assert plan.nhat == 1 and plan.shared
-    shared_exact = _window_zero_law(theta, True)
+    shared_exact = _window_zero_law(name, True)
     assert shared_exact == pytest.approx(plan.agreement, rel=0, abs=1e-12)
-    per_past_exact = _window_zero_law(theta, False)
+
+
+# the per-past law, P(rounds_used = 0) under independent streams, is
+# enumerated on the kernels whose per-past paths stay few
+PER_PAST_LAWS = [("geometric:0.4", 0.003981), ("list:0.5,0.3,0.2", 0.002724)]
+
+
+@pytest.mark.parametrize("name,per_past", PER_PAST_LAWS)
+def test_shared_layout_stops_in_window_zero_more_often(name, per_past):
+    per_past_exact = _window_zero_law(name, False)
     assert per_past_exact == pytest.approx(per_past, rel=0, abs=1e-6)
-    assert shared_exact > 10 * per_past_exact
+    assert _window_zero_law(name, True) > 10 * per_past_exact
 
 
-@pytest.mark.parametrize("theta", [t for t, _ in STOPPING_CASES])
+def test_cyclic4_agreement_is_one_sixth():
+    # a derivation by hand of the multigamma agreement of cyclic4 with
+    # theta_j = 2^-(j+1) (n̂ = 1, n₀ = 2).  On a known pair (x, v), x
+    # newest, alpha(x|x,v) = 1/6 + 1/4 + 1/8 [v = x] and
+    # alpha(x±1|x,v) = 1/6 + 1/8 [v = x±1].  At time 0 the four pasts
+    # share no letter (each misses its antipode), so each lays out its own
+    # masses 5/12 (stay) and 1/6 (moves) in letter order; the cells
+    # [0,1/6), [1/6,1/3), [1/3,5/12), [5/12,7/12), [7/12,3/4) send pasts
+    # 0..3 to 0010, 0122, 0123, 1123, 3233, and [3/4, 1) to STAR.  At
+    # time 1 the live pairs share mass 1/3, 1/6, 0, 1/6, 1/3 respectively
+    # (min over the pairs of each letter every newest letter allows), no
+    # remainders of one letter overlap, and a starred pair (*, v) allows v
+    # only.  So agreement = 1/6 (1/3 + 1/6 + 0 + 1/6 + 1/3) = 1/6.
+    exact = _window_zero_law("geometric:0.5", True)
+    assert exact == pytest.approx(1 / 6, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in PER_PAST_LAWS])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-past"])
-def test_window_zero_stopping_frequency_matches_the_enumeration(theta, shared):
-    kern = _cyclic4(theta)
+def test_window_zero_stopping_frequency_matches_the_enumeration(name, shared):
+    kern = _kernel(name)
     plan = _plan(kern, shared)
-    p = _window_zero_law(theta, shared)
+    p = _window_zero_law(name, shared)
     n = 4000
     hits = sum(
         _stops_in_window_zero(kern, plan, StreamKey(seed=5, replication=r))
@@ -181,25 +229,20 @@ def _stationary_windows(kernel, m):
     return dict(zip(states, pi))
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-past"])
-def test_coupled_draws_follow_the_stationary_law(shared):
-    kern = build_kernel(
-        "graph-walk", {"graph": "path:3", "theta": "list:0.5,0.3,0.2"}
-    )
+def _check_walk_draws(kern, plan, expect_x0, n, seed):
+    """X_0, X_-1 and (X_-1, X_0) of n draws at k = 1 against pi at 4 SE;
+    pi(X_0) must first equal ``expect_x0``, which is known in advance."""
     pi = _stationary_windows(kern, 3)
     laws = {"x0": {}, "x-1": {}, "pair": {}}
     for w, p in pi.items():  # w = (X_0, X_-1, X_-2)
         for name, cell in (("x0", w[0]), ("x-1", w[1]), ("pair", (w[1], w[0]))):
             laws[name][cell] = laws[name].get(cell, 0.0) + p
-    expect = (2 / 7, 3 / 7, 2 / 7)
-    for x, p in zip(kern.alphabet, expect):
+    for x, p in zip(kern.alphabet, expect_x0):
         assert laws["x0"][x] == pytest.approx(p, rel=0, abs=1e-12)
 
-    plan = _plan(kern, shared)
-    n = 3000
     counts = {name: dict.fromkeys(law, 0) for name, law in laws.items()}
     for r in range(n):
-        key = StreamKey(seed=41, replication=r)
+        key = StreamKey(seed=seed, replication=r)
         (x1, x0), _ = run_algorithm2(kern, 1, key, plan=plan)
         counts["x0"][x0] += 1
         counts["x-1"][x1] += 1
@@ -209,6 +252,32 @@ def test_coupled_draws_follow_the_stationary_law(shared):
             se = math.sqrt(p * (1.0 - p) / n)
             freq = counts[name][cell] / n
             assert abs(freq - p) <= 4.0 * se, (name, cell, freq, p)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-past"])
+def test_coupled_draws_follow_the_stationary_law(shared):
+    kern = _kernel("path:3")
+    _check_walk_draws(kern, _plan(kern, shared), (2 / 7, 3 / 7, 2 / 7), 3000, 41)
+
+
+def test_shared_draws_follow_the_stationary_law_of_path5():
+    # pi(X_0) is proportional to the closed-neighbourhood sizes (2, 3, 3,
+    # 3, 2), as on path:3, so it is not uniform.  A per-past draw takes
+    # about 6 400 windows (about 1 s) here, too slow for this suite, so
+    # only the shared plan is checked
+    kern = _kernel("path:5")
+    plan = prepare_coalescence(kern)
+    assert plan.shared
+    expect = tuple(c / 13 for c in (2, 3, 3, 3, 2))
+    _check_walk_draws(kern, plan, expect, 3000, 47)
+
+
+def test_shared_draws_on_cycle5_are_uniform():
+    # rotating the 5-cycle maps the kernel to itself, so pi(X_0) is uniform
+    kern = _kernel("cycle:5")
+    plan = prepare_coalescence(kern)
+    assert plan.shared
+    _check_walk_draws(kern, plan, (1 / 5,) * 5, 3000, 53)
 
 
 def _pairs(kernel, route, n, seed):

@@ -61,8 +61,9 @@ def _per_past(kernel):
 
 class _MirroredLetters(KernelSpec):
     """Two-letter order-1 chain that stays with probability 0.6, scanning
-    its own letter first: past a scans (a, b) and past b scans (b, a), so
-    under one shared uniform the two trajectories always differ."""
+    its own letter first: past a scans (a, b) and past b scans (b, a).
+    The shared layout puts the mass both pasts give each letter, 0.4 and
+    0.4, first, so they agree with probability 0.8."""
 
     def letters_for(self, w):
         return ("b", "a") if w and w[0] == "b" else ("a", "b")
@@ -77,6 +78,25 @@ def _mirrored():
     return _MirroredLetters(
         name="mirrored", parameters={}, alphabet=("a", "b"), alpha=alpha
     )
+
+
+def _drain():
+    """Order-1 chain on 0, 1, 2 that no shared layout can make agree.
+
+    0 stays at 0; 1 moves to 1 or 2 and 2 to 0 or 1, each with
+    probability 1/2.  At time 0 no letter is possible from all three
+    pasts, so each lays out its own masses in letter order: u < 1/2 sends
+    them to (0, 1, 0) and u >= 1/2 to (0, 2, 1).  From either set of
+    letters no letter is possible from all, so phase 1 never agrees at
+    time 1; independent streams agree with probability 1/2 * 1/4."""
+    moves = {0: {0: 1.0}, 1: {1: 0.5, 2: 0.5}, 2: {0: 0.5, 1: 0.5}}
+
+    def alpha(g, w):
+        if not w or w[0] is STAR:
+            return 0.0  # the envelope: some past forbids every letter
+        return moves[w[0]].get(g, 0.0)
+
+    return KernelSpec(name="drain", parameters={}, alphabet=(0, 1, 2), alpha=alpha)
 
 
 # ------------------------------------------------------------ the skeleton
@@ -215,19 +235,19 @@ def _path5(theta):
 
 
 def test_agreement_walk_stops_at_its_cell_budget(monkeypatch):
-    # the walk visits 2 172 cells on path:5; one fewer allowed raises the
+    # the walk visits 2 268 cells on path:5; one fewer allowed raises the
     # guard the CLI maps to exit 4, and the budget changes no value
     kern = _path5("geometric:0.5")
     _, analysis = find_nhat(kern, 8)
     n0 = compute_n0(analysis)
     assert n0 == 4
     exact = phase1_agreement(kern, analysis, n0)
-    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2172)
+    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2268)
     assert phase1_agreement(kern, analysis, n0) == exact
-    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2171)
-    with pytest.raises(ExplosionGuard, match="more than 2171 cells"):
+    monkeypatch.setattr(coalescence, "PHASE1_MAX_CELLS", 2267)
+    with pytest.raises(ExplosionGuard, match="more than 2267 cells"):
         phase1_agreement(kern, analysis, n0)
-    with pytest.raises(ExplosionGuard, match="more than 2171 cells"):
+    with pytest.raises(ExplosionGuard, match="more than 2267 cells"):
         make_plan(kern, analysis, n0)
 
 
@@ -333,16 +353,16 @@ def test_shared_coupling_reads_one_uniform_per_time():
 
 
 def test_plan_falls_back_to_per_past_streams_when_agreement_is_impossible():
-    kern = _mirrored()
+    kern = _drain()
     plan = prepare_coalescence(kern)
-    assert (plan.nhat, plan.n0) == (1, 1)
+    assert (plan.nhat, plan.n0) == (1, 2)
     assert plan.agreement == 0.0
     assert not plan.shared and plan.coupling == "per-past"
     for rep in range(30):
         key = StreamKey(seed=8, replication=rep)
         calls, hooked = _hooked_streams(key)
         xs, rec = run_algorithm2(kern, 3, key, max_rounds=500, uniforms=hooked)
-        assert set(xs) <= {"a", "b"}
+        assert set(xs) <= {0, 1, 2}
         assert None not in {p for _, p in calls}
         assert rec.uniforms_consumed == len(calls)
 
@@ -356,53 +376,57 @@ def _batch(kern, plan_for, k, seed, reps):
 
 
 @pytest.mark.parametrize(
-    "kern,k,reps",
+    "kern,shared,k,reps",
     [
-        (build_kernel("cyclic4", {"theta": "geometric:0.4"}), 2, 30),
-        (_path5("list:0.5,0.3,0.2"), 1, 20),
-        (_mirrored(), 3, 30),
+        (build_kernel("cyclic4", {"theta": "geometric:0.4"}), True, 2, 30),
+        (_path5("list:0.5,0.3,0.2"), True, 1, 20),
+        (_mirrored(), False, 3, 30),
     ],
     ids=["cyclic4-shared", "path5-shared", "mirrored-per-past"],
 )
-def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, k, reps):
-    # every run reads the plan's phase-1 tables and none writes to them:
+def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, shared, k, reps):
+    # every run reads the plan's phase-1 layouts and none writes to them:
     # a batch on one plan decides exactly what the same draws decide on a
-    # plan built afresh for each, or on a plan holding every other table,
-    # whose runs scan the rest into dicts of their own
-    plan = prepare_coalescence(kern)
-    assert plan.shared == (kern.name != "mirrored")
-    tables = dict(plan.tables)
-    masses = {c: dict(tab[2]) for c, tab in tables.items()}
+    # plan built afresh for each, or on a plan holding every other layout,
+    # whose runs lay the rest out into dicts of their own
+    def fresh_plan():
+        return dataclasses.replace(
+            make_plan(kern, plan.analysis, plan.n0), shared=shared
+        )
+
+    plan = dataclasses.replace(prepare_coalescence(kern), shared=shared)
+    layouts = dict(plan.layouts)
+    masses = {c: [dict(m) for m in lay[3]] for c, lay in layouts.items()}
     half = dataclasses.replace(
-        plan, tables=dict(itertools.islice(tables.items(), 0, None, 2))
+        plan, layouts=dict(itertools.islice(layouts.items(), 0, None, 2))
     )
-    half_keys = set(half.tables)
+    half_keys = set(half.layouts)
     one = _batch(kern, lambda: plan, k, 12, reps)
-    fresh = _batch(kern, lambda: make_plan(kern, plan.analysis, plan.n0), k, 12, reps)
+    fresh = _batch(kern, fresh_plan, k, 12, reps)
     mixed = _batch(kern, lambda: half, k, 12, reps)
     assert one == fresh == mixed
-    assert plan.tables.keys() == tables.keys() and set(half.tables) == half_keys
-    assert all(plan.tables[c] is tab for c, tab in tables.items())
-    assert {c: tab[2] for c, tab in plan.tables.items()} == masses
+    assert plan.layouts.keys() == layouts.keys() and set(half.layouts) == half_keys
+    assert all(plan.layouts[c] is lay for c, lay in layouts.items())
+    assert {c: lay[3] for c, lay in plan.layouts.items()} == masses
 
 
 def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
-    # the agreement walk reaches every phase-1 context on cyclic4, so once
-    # the plan exists a batch of draws builds no table of its own
+    # the agreement walk reaches every tuple of live phase-1 contexts on
+    # cyclic4, so once the plan exists a batch of draws lays none out
     kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
     plan = prepare_coalescence(kern)
     calls = []
-    table = coalescence._table
+    layout = coalescence._layout
 
-    def counted(kernel, w, *args):
-        calls.append(w)
-        return table(kernel, w, *args)
+    def counted(kernel, ctxs, *args):
+        calls.append(ctxs)
+        return layout(kernel, ctxs, *args)
 
-    monkeypatch.setattr(coalescence, "_table", counted)
+    monkeypatch.setattr(coalescence, "_layout", counted)
     _batch(kern, lambda: plan, 0, 1, 40)
     assert calls == []
-    _batch(kern, lambda: dataclasses.replace(plan, tables={}), 0, 1, 1)
-    assert calls  # the counter sees the scans a plan without tables needs
+    _batch(kern, lambda: dataclasses.replace(plan, layouts={}), 0, 1, 1)
+    assert calls  # the counter sees the layouts a plan without them needs
 
 
 def test_tableau_snapshots_never_contradict_earlier_letters():
@@ -437,17 +461,18 @@ def test_round_budget_exhaustion_keeps_the_partial_tableau():
 
 
 def test_shared_budget_message_gives_the_expected_wait():
-    # path:5 with list weights fully agrees in one window of about 432,
-    # so 20 windows run out; the message says so in those figures
-    kern = _path5("list:0.5,0.3,0.2")
+    # path:7 with list weights fully agrees in one window of about 713
+    # (the enumeration in test_coupled_laws gives its agreement), so 20
+    # windows run out; the message says so in those figures
+    kern = build_kernel("graph-walk", {"graph": "path:7", "theta": "list:0.5,0.3,0.2"})
     plan = prepare_coalescence(kern)
     assert plan.shared
     with pytest.raises(MaxRoundsExceeded) as exc:
         run_algorithm2(kern, 0, StreamKey(1, 0), max_rounds=20, plan=plan)
     msg = str(exc.value)
     assert msg.startswith("no coalescence within 20 windows; ")
-    assert "phase-1 agreement is 0.00231" in msg
-    assert "about 432 windows are expected" in msg
+    assert "phase-1 agreement is 0.0014" in msg
+    assert "about 713 windows are expected" in msg
 
 
 # ------------------------------------------------- reference equivalence
