@@ -32,47 +32,78 @@ def _letters(kernel: KernelSpec, truncation: Optional[int]):
 def _string_mass(
     kernel: KernelSpec, n: int, letters, bases=((),), star=False, max_nodes=None
 ):
-    """Sum over the strings a of length n grown on top of each base window
-    of alpha(a_-n | base) alpha(a_-(n-1) | a_-n base) ... — each factor's
-    context is the string built so far, newest first, with the base as its
-    oldest part.  With ``star`` the unknown symbol is a letter too, of mass
-    1 - beta(context), and each full string is weighted by its own escape
-    mass: the chance that the auxiliary chain is still unknown at step n.
-    Only positive-mass branches are visited, in depth-first order; each
-    node tries the context's ``letters_for`` within ``letters``, which on a
-    countable alphabet names every letter that can carry mass.  With
-    ``max_nodes`` the walk raises ExplosionGuard once it has visited more
-    nodes (contexts, full strings included) than that.
+    """Masses at every depth 0..n of the strings grown on top of each base
+    window, from one depth-first walk: entry d is the sum over the strings
+    a of length d of alpha(a_-d | base) alpha(a_-(d-1) | a_-d base) ... —
+    each factor's context is the string built so far, newest first, with
+    the base as its oldest part.  With ``star`` the unknown symbol is a
+    letter too, of mass 1 - beta(context), and each string is weighted by
+    its own escape mass: the chance that the auxiliary chain is still
+    unknown at step d.  Only positive-mass branches are visited, in
+    depth-first order; each node tries the context's ``letters_for`` within
+    ``letters``, which on a countable alphabet names every letter that can
+    carry mass.  Depth d's entry sums its strings in the order a walk that
+    stopped at depth d would, so every entry is the same float as that
+    walk's total.  Letter strings of the last depth are summed where they
+    are found, without building their context.  With ``max_nodes`` the
+    walk raises ExplosionGuard once it has visited more nodes (contexts,
+    full strings included) than that.
     """
     allowed = frozenset(letters)
-    total = 0.0
+    totals = [0.0] * (n + 1)
     nodes = 0
 
-    def rec(ctx, depth, prob):
-        nonlocal total, nodes
-        nodes += 1
+    def visit(k):
+        nonlocal nodes
+        nodes += k
         if max_nodes is not None and nodes > max_nodes:
             raise ExplosionGuard(
                 f"enumerating strings of length {n} visits more than "
                 f"{max_nodes} nodes"
             )
-        if depth == n:
-            total += prob * max(0.0, 1.0 - kernel.beta(ctx)) if star else prob
-            return
+
+    def rec(ctx, depth, prob):
+        visit(1)
         if star:
             escape = 1.0 - kernel.beta(ctx)
-            if escape > 0.0:
-                rec((STAR,) + ctx, depth + 1, prob * escape)
+            totals[depth] += prob * max(0.0, escape)
+        else:
+            totals[depth] += prob
+        if depth == n:
+            return
+        if star and escape > 0.0:
+            rec((STAR,) + ctx, depth + 1, prob * escape)
+        leaf = not star and depth + 1 == n
+        leaves = 0
         for g in kernel.letters_for(ctx):
             if g not in allowed:
                 continue
             a = kernel.alpha(g, ctx)
             if a > 0.0:
-                rec((g,) + ctx, depth + 1, prob * a)
+                if leaf:
+                    totals[n] += prob * a
+                    leaves += 1
+                else:
+                    rec((g,) + ctx, depth + 1, prob * a)
+        if leaves:
+            visit(leaves)
 
     for base in bases:
         rec(base, 0, 1.0)
-    return total
+    return totals
+
+
+def _affordable_depth(n: int, roots: int, letters, budget: int) -> int:
+    """Largest m <= n with roots * |letters|^m <= budget: the deepest level
+    whose strings, counted over the whole alphabet, fit the budget."""
+    m = 0
+    while m < n and roots * len(letters) ** (m + 1) <= budget:
+        m += 1
+    return m
+
+
+def _class_windows(analysis: MarkovAnalysis):
+    return analysis.closed_classes[0] if analysis.closed_classes else ()
 
 
 def rho_exact(
@@ -87,9 +118,9 @@ def rho_exact(
     if n < 1:
         raise ValueError("n >= 1 required")
     letters = _letters(kernel, truncation)
-    if len(letters) ** n > budget:
+    if _affordable_depth(n, 1, letters, budget) < n:
         raise ExplosionGuard(f"{len(letters)}^{n} letter strings exceed {budget}")
-    return _string_mass(kernel, n, letters)
+    return _string_mass(kernel, n, letters)[n]
 
 
 def rho_tilde_exact(
@@ -115,12 +146,12 @@ def rho_tilde_exact(
     letters = kernel.alphabet
     if letters is None:
         raise ExplosionGuard("closed-class enumeration needs a finite alphabet")
-    targets = analysis.closed_classes[0] if analysis.closed_classes else ()
-    if len(targets) * len(letters) ** n > budget:
+    targets = _class_windows(analysis)
+    if _affordable_depth(n, len(targets), letters, budget) < n:
         raise ExplosionGuard(
             f"{len(targets)} x {len(letters)}^{n} strings exceed {budget}"
         )
-    return _string_mass(kernel, n, letters, bases=targets)
+    return _string_mass(kernel, n, letters, bases=targets)[n]
 
 
 def exact_T0_tail(
@@ -151,7 +182,7 @@ def exact_T0_tail(
         return p[n]
     return _string_mass(
         kernel, n, _letters(kernel, truncation), star=True, max_nodes=budget
-    )
+    )[n]
 
 
 @dataclass
@@ -179,7 +210,11 @@ def check_theorem_conditions(
     """Estimate the coalescence-rate constant and the stopping-time bound.
 
     Reports the letter-string masses up to N (closed form when the kernel
-    exposes one, exact enumeration otherwise), the limit estimate
+    exposes one, exact enumeration otherwise) and the closed-class masses
+    up to N.  Each enumerated column comes from one walk per kernel, as
+    deep as the guard of ``rho_exact`` / ``rho_tilde_exact`` allows, with
+    the values those oracles give one n at a time and a note where the
+    guard stops the column.  Also reports the limit estimate
     c_hat = value at N (of the closed-class masses when the letter-string
     masses are unavailable), the expected-stopping-time bound
     (1-c_hat)/c_hat when c_hat is a positive letter-string mass, and — when
@@ -199,13 +234,11 @@ def check_theorem_conditions(
             rho_vals = [closed(n) for n in range(1, N + 1)]
             rho_src = "closed-form"
         else:
-            rho_vals = []
-            for n in range(1, N + 1):
-                try:
-                    rho_vals.append(rho_exact(kernel, n, budget=budget))
-                except ExplosionGuard:
-                    notes.append(f"letter-string enumeration stopped at n={n - 1}")
-                    break
+            letters = _letters(kernel, None)
+            top = _affordable_depth(N, 1, letters, budget)
+            rho_vals = _string_mass(kernel, top, letters)[1:]
+            if top < N:
+                notes.append(f"letter-string enumeration stopped at n={top}")
             rho_src = "enumeration"
 
     tilde_vals = None
@@ -221,15 +254,11 @@ def check_theorem_conditions(
                 )
         if analysis is not None:
             tilde_avail = True
-            tilde_vals = []
-            for n in range(1, N + 1):
-                try:
-                    tilde_vals.append(
-                        rho_tilde_exact(kernel, analysis, n, budget=budget)
-                    )
-                except ExplosionGuard:
-                    notes.append(f"closed-class enumeration stopped at n={n - 1}")
-                    break
+            targets = _class_windows(analysis)
+            top = _affordable_depth(N, len(targets), kernel.alphabet, budget)
+            tilde_vals = _string_mass(kernel, top, kernel.alphabet, bases=targets)[1:]
+            if top < N:
+                notes.append(f"closed-class enumeration stopped at n={top}")
 
     c_hat = None
     bound = None

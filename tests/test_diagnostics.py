@@ -12,7 +12,7 @@ from perfectsim.backward import (
     run_auxiliary_chain,
     run_joint_tableau,
 )
-from perfectsim.coalescence import find_nhat
+from perfectsim.coalescence import NotFound, find_nhat
 from perfectsim.diagnostics import (
     ExplosionGuard,
     check_theorem_conditions,
@@ -23,6 +23,7 @@ from perfectsim.diagnostics import (
     rho_tilde_exact,
 )
 from perfectsim.gallery import (
+    GALLERY,
     build_kernel,
     flipflop_r,
     make_autoregressive,
@@ -237,6 +238,98 @@ def test_condition_report_for_a_kernel_with_no_route():
     assert not rep.rho_tilde_available
     assert rep.c_hat is None and rep.bound_expected_t0 is None
     assert any("neither route" in note for note in rep.notes)
+
+
+def _per_n_columns(kernel, N, budget):
+    """The report's two enumerated columns and their notes, rebuilt with
+    one oracle call per n: a guard that raises at n stops the column at
+    n - 1.  A column the report does not enumerate is None."""
+
+    def column(oracle, label):
+        vals, notes = [], []
+        for n in range(1, N + 1):
+            try:
+                vals.append(oracle(n))
+            except ExplosionGuard:
+                notes.append(f"{label} enumeration stopped at n={n - 1}")
+                break
+        return vals, notes
+
+    rho = tilde = None
+    notes = []
+    if kernel.beta(()) > 0.0 and "rho" not in kernel.closed_forms:
+        rho, stops = column(lambda n: rho_exact(kernel, n, budget=budget), "letter-string")
+        notes += stops
+    found = None if kernel.alphabet is None else find_nhat(kernel, 6)
+    if found is not None and not isinstance(found, NotFound):
+        _, ana = found
+        tilde, stops = column(
+            lambda n: rho_tilde_exact(kernel, ana, n, budget=budget), "closed-class"
+        )
+        notes += stops
+    return rho, tilde, notes
+
+
+def _hex(vals):
+    return None if vals is None else [v.hex() for v in vals]
+
+
+def _assert_columns_match_per_n_calls(kernel, N, budget):
+    rep = check_theorem_conditions(kernel, N=N, budget=budget)
+    rho, tilde, stops = _per_n_columns(kernel, N, budget)
+    if rep.rho_source != "closed-form":
+        assert _hex(rep.rho_values) == _hex(rho), kernel.name
+    assert _hex(rep.rho_tilde_values) == _hex(tilde), kernel.name
+    assert [n for n in rep.notes if "enumeration stopped" in n] == stops, kernel.name
+    return rep
+
+
+_DIAGNOSED = [build_kernel(name, {}) for name in GALLERY] + [
+    build_kernel("three-letter-alternating", {"restrict": "false"})
+]
+
+
+@pytest.mark.parametrize("kernel", _DIAGNOSED, ids=lambda k: k.name)
+def test_condition_columns_equal_one_oracle_call_per_n(kernel):
+    # one walk per column gives every n's mass bit for bit as the oracle
+    # called at that n, and stops where the oracle's guard would
+    _assert_columns_match_per_n_calls(kernel, 12, 300_000)
+
+
+def test_condition_columns_at_the_guard_edges():
+    cy = build_kernel("cyclic4", {})
+    im = build_kernel("imitation", {})  # letter strings enumerated over 50 letters
+    # 4 class windows x 4^2 strings fit 100, 4 x 4^3 do not
+    rep = _assert_columns_match_per_n_calls(cy, 12, 100)
+    assert len(rep.rho_tilde_values) == 2
+    assert "closed-class enumeration stopped at n=2" in rep.notes
+    for kernel in (cy, im):
+        rep = _assert_columns_match_per_n_calls(kernel, 0, 300_000)
+        assert not rep.rho_values and not rep.rho_tilde_values
+    # a budget below one level's strings stops each column before n = 1
+    rep = _assert_columns_match_per_n_calls(cy, 12, 15)
+    assert rep.rho_tilde_values == []
+    assert "closed-class enumeration stopped at n=0" in rep.notes
+    rep = _assert_columns_match_per_n_calls(im, 12, 49)
+    assert rep.rho_source == "enumeration" and rep.rho_values == []
+    assert "letter-string enumeration stopped at n=0" in rep.notes
+
+
+def test_condition_report_walks_each_column_once():
+    # cyclic4's closed-class column to n = 8 (4 x 4^8 strings fit 300 000)
+    # asks alpha 52 516 times; a walk per n asked it 78 692 times
+    cy = build_kernel("cyclic4", {})
+    calls = 0
+
+    def alpha(g, w):
+        nonlocal calls
+        calls += 1
+        return cy.alpha(g, w)
+
+    counted = dataclasses.replace(cy, alpha=alpha, beta=None)
+    rep = check_theorem_conditions(counted, N=12, budget=300_000)
+    assert len(rep.rho_tilde_values) == 8
+    assert calls == 52_516
 
 
 # ------------------------------------------------------- concentration bound

@@ -1,4 +1,5 @@
-"""A fixed sweep of both samplers, pinned by one digest.
+"""A fixed sweep of both samplers, and the artifacts of ``diagnose``, each
+pinned by one digest.
 
 The digest is a sha256 over ``repr((letters, T, rounds_used,
 uniforms_consumed))`` of 1 520 runs: letters and integers only, no float
@@ -8,15 +9,18 @@ not derived independently.  A change that alters outputs on purpose must
 say so and re-record the digest.  It was re-recorded once, when the
 shared coupling's phase-1 layout became the multigamma one: the coupled
 runs below all use shared plans, so their draws changed (same law), while
-a digest of the spontaneous runs alone stayed the same.
+a digest of the spontaneous runs alone stayed the same.  The ``diagnose``
+digest was recorded from the code at commit 710d567, before its condition
+checks walked each oracle column once.
 """
 
 import dataclasses
 import hashlib
 
 from perfectsim.backward import run_algorithm1
+from perfectsim.cli import main
 from perfectsim.coalescence import run_algorithm2
-from perfectsim.gallery import build_kernel
+from perfectsim.gallery import GALLERY, build_kernel
 from perfectsim.streams import StreamKey
 
 GOLDEN_SHA256 = "178a8e4906d4fa44ed04e77c695fb69f4d76220e1f3a8e6554518b795982073c"
@@ -66,3 +70,27 @@ def test_sweep_digest_is_unchanged():
         runs += 1
     assert runs == 1520
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+# ``perfectsim diagnose`` on the 8 gallery kernels with their defaults and on
+# the unrestricted three-letter chain, with relative ``--out`` names so the
+# config echoed into every artifact does not depend on the directory.
+GOLDEN_DIAGNOSE_SHA256 = "9a8d182bc3618babe0ed240c9eaf40ab49dd02e6fdbe43fa84da32c6b3b95393"
+
+_DIAGNOSE_RUNS = [(name, name, []) for name in GALLERY] + [
+    ("three-letter-alternating-unrestricted", "three-letter-alternating",
+     ["--param", "restrict=false"])
+]
+_DIAGNOSE_ARTIFACTS = (".json", "-rho.csv", "-tail.csv", "-gaps.csv")
+
+
+def test_diagnose_artifact_digest_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for label, kernel, params in _DIAGNOSE_RUNS:
+        assert main(["diagnose", "--kernel", kernel, "--out", label, *params]) == 0
+        for suffix in _DIAGNOSE_ARTIFACTS:
+            path = tmp_path / f"{label}{suffix}"
+            h.update(f"{label}{suffix}\n".encode())
+            h.update(path.read_bytes() if path.exists() else b"(absent)\n")
+    assert h.hexdigest() == GOLDEN_DIAGNOSE_SHA256
