@@ -7,7 +7,10 @@ a position becomes known when every trajectory agrees on the same letter.
 Phase 2 then revisits newer windows whose left n̂-context has become fully
 known and re-reads that context's own uniform against the freshly added
 mass, exactly as the single-stream sampler does, so earlier decisions are
-never contradicted.
+never contradicted.  The re-read has one rule: each still-unknown time
+keeps the threshold, window and masses of its last scan (at first, those
+of the true past's phase-1 scan) and stacks the new window's increment
+on them.
 
 The trajectories share one uniform per time whenever the plan's exact
 phase-1 agreement probability under that coupling is positive; otherwise
@@ -485,8 +488,6 @@ def run_algorithm2(
     key: StreamKey,
     max_rounds: int = 10**4,
     plan: CoalescencePlan | None = None,
-    nhat_max: int = 8,
-    n0_max: int = 64,
     uniforms=None,
     trace=None,
 ):
@@ -536,9 +537,18 @@ def run_algorithm2(
     writes, so the plan must be this kernel's own.  A tuple that walk
     pruned (possible only when n̂ >= 2) is laid out into a dict of this
     run's own, dropped when the run returns, as are per-past phase 1's
-    ``_table`` scans.  Each trajectory keeps its contexts' masses, from
-    which the first phase-2 sweep of a window reads trajectory b's old
-    masses.
+    ``_table`` scans.
+
+    Phase 2 re-reads an open time t against what it last scanned: t keeps
+    the threshold, window and masses of its last scan, and a sweep stacks
+    alpha on the new window over them (``_stack``), so only the new window
+    is evaluated.  A window's first sweep takes trajectory b's letters and
+    opens each of b's STAR times on b's phase-1 boundary, context and
+    masses.  That is the window a direct sweep would compare against:
+    a letter written at a time older than t marks t's window stale in the
+    same round, and sweeps run oldest window first and ascending within a
+    window, so t's start-of-round view equals the window it last scanned
+    up to trailing stars, and both give the same alpha bits.
 
     Phase 2 is event-driven: a window is swept only while its left
     n̂-context is fully known and it still has unresolved positions,
@@ -558,7 +568,7 @@ def run_algorithm2(
     if k < 0:
         raise ValueError("k >= 0 required")
     if plan is None:
-        plan = prepare_coalescence(kernel, nhat_max, n0_max)
+        plan = prepare_coalescence(kernel)
     if uniforms is None:
         uniforms = keyed_uniforms(key)
     nhat, n0, shared = plan.nhat, plan.n0, plan.shared
@@ -575,11 +585,12 @@ def run_algorithm2(
         return -z * n0
 
     temp: dict = {}
-    thr: dict = {}
+    last: dict = {}  # open time -> (threshold, window, masses) of its last scan
     ucache: dict = {}
     ttil: dict = {}
-    traj: dict = {}  # (z, pid) -> {time: (symbol, boundary, masses)}
-    first_done: set = set()  # windows whose first phase-2 sweep has run
+    # window z -> {pid: {time: (symbol, boundary, context, masses)}}, kept
+    # until the window's first phase-2 sweep
+    traj: dict = {}
     known = plan.layouts  # live contexts -> their _layout, read only
     local: dict = {}  # pruned layouts or per-past tables, this run only
     unresolved: dict = {}  # window z -> count of STAR positions
@@ -589,7 +600,6 @@ def run_algorithm2(
     heap: list = []  # phase-2 queue, oldest window first (stores -z)
     inq: set = set()
     cur_sweep = None  # window being swept; its own writes need no re-queue
-    journal: dict = {}  # within-round write log: time -> start-of-round value
     targets_left = k + 1
 
     def _u(t, pid):
@@ -610,8 +620,7 @@ def run_algorithm2(
         if unresolved[zt] == 0:
             active.discard(zt)
             stale.discard(zt)
-            for pid in pids:
-                traj.pop((zt, pid), None)
+            traj.pop(zt, None)
         # t may be the last missing piece of some window's left context
         for m in range(-t - nhat + 1, -t + 1):
             if m > 0 and m % n0 == 0:
@@ -645,8 +654,6 @@ def run_algorithm2(
                 f"{kernel.name}: letter {sym!r} at time {t} makes an "
                 f"inadmissible pair with its neighbours ({newer!r}, {older!r})"
             )
-        if t in temp:
-            journal.setdefault(t, temp[t])
         temp[t] = sym
         ttil[t] = tt
         _resolved(t)
@@ -661,18 +668,14 @@ def run_algorithm2(
                     heapq.heappush(heap, -z2)
                     inq.add(z2)
 
-    def _prevval(j):
-        v = journal.get(j)
-        return v if v is not None else temp.get(j, STAR)
-
-    def _context(t, stop, get):
+    def _context(t, stop):
         # letters at times t-1 down to stop, newest first; with a horizon,
         # positions 0..H-1 and then on to the first known letter only
         cut = stop if horizon is None else max(stop, t - horizon)
-        out = [get(j) for j in range(t - 1, cut - 1, -1)]
+        out = [temp[j] for j in range(t - 1, cut - 1, -1)]
         j = cut - 1
         while j >= stop and out[-1] is STAR:
-            out.append(get(j))
+            out.append(temp[j])
             j -= 1
         return tuple(out)
 
@@ -687,7 +690,6 @@ def run_algorithm2(
                     "before one fully agrees"
                 )
             raise MaxRoundsExceeded(msg, SimulationTableau(dict(temp), n - 1, -k, 0))
-        journal.clear()
         del heap[:]
         inq.clear()
         lo, hi = l(n), r(n)
@@ -701,8 +703,8 @@ def run_algorithm2(
                 if lay is None:
                     lay = local[ctxs] = _layout(kernel, ctxs, {})
                 picks = _letters_at(lay, _u(t, None))
-                for tv, (sym, acc), masses in zip(tvals, picks, lay[3]):
-                    tv[t] = (sym, acc, masses)
+                for tv, (sym, acc), ctx, masses in zip(tvals, picks, ctxs, lay[3]):
+                    tv[t] = (sym, acc, ctx, masses)
                 ctxs = tuple((sym,) + c for (sym, _), c in zip(picks, ctxs))
         else:
             for tv, pid, ctx in zip(tvals, pids, C):
@@ -711,15 +713,13 @@ def run_algorithm2(
                     if tab is None:
                         tab = local[ctx] = _table(kernel, ctx)
                     sym, acc = _pick(tab, _u(t, pid))
-                    tv[t] = (sym, acc, tab[2])
+                    tv[t] = (sym, acc, ctx, tab[2])
                     ctx = (sym,) + ctx
-        for pid, tv in zip(pids, tvals):
-            traj[(n, pid)] = tv
+        traj[n] = dict(zip(pids, tvals))
         unresolved[n] = n0
         for t in range(lo, hi + 1):
             syms = {tv[t][0] for tv in tvals}
             if len(syms) == 1 and STAR not in syms:
-                temp[t] = STAR  # placeholder so _set_letter journals sanely
                 _set_letter(t, syms.pop(), -n)
             else:
                 temp[t] = STAR
@@ -741,37 +741,31 @@ def run_algorithm2(
             cur_sweep = z
             b = b_ready[z]
             pid = idx[b]
-            first = z not in first_done
-            if first:
-                first_done.add(z)
-            tz = traj.get((z, pid))
+            tz = traj.pop(z, None)
+            if tz is not None:
+                # the window's first sweep: trajectory b's letters stand (the
+                # merge only failed because another past disagreed), and each
+                # of its STAR times opens on the boundary, context and masses
+                # of b's phase-1 scan
+                for t, (sym, acc, ctx, masses) in tz[pid].items():
+                    if temp[t] is not STAR:
+                        continue
+                    if sym is STAR:
+                        # a copy: the plan's layouts share these masses
+                        last[t] = (acc, ctx, dict(masses))
+                    else:
+                        _set_letter(t, sym, -n)
             for t in range(l(z), r(z) + 1):
                 if temp[t] is not STAR:
                     continue
                 u = _u(t, pid)
-                if first:
-                    sym0, acc0, masses = tz[t]
-                    if sym0 is not STAR:
-                        # trajectory b already drew this letter with the same
-                        # uniform; the merge only failed because another past
-                        # disagreed, so the letter stands once b is the truth
-                        _set_letter(t, sym0, -n)
-                        continue
-                    base = acc0
-                    old = dict(masses)  # _stack fills in letters it misses
-                    w_old = (
-                        tuple(tz[j][0] for j in range(t - 1, l(z) - 1, -1)) + b
-                    )
-                else:
-                    base = thr[t]
-                    w_old = canon(_context(t, l(n - 1), _prevval))
-                    old = {}
+                base, w_old, old = last.pop(t)
                 if not u >= base:
                     raise threshold_violation(kernel, t, u, base)
-                w_new = canon(_context(t, lo, temp.__getitem__))
-                sym, acc, _ = _stack(kernel, u, base, w_new, w_old, old)
+                w_new = canon(_context(t, lo))
+                sym, acc, new = _stack(kernel, u, base, w_new, w_old, old)
                 if sym is STAR:
-                    thr[t] = acc
+                    last[t] = (acc, w_new, new)
                 else:
                     _set_letter(t, sym, -n)
             stale.discard(z)

@@ -17,9 +17,9 @@ checks walked each oracle column once.
 import dataclasses
 import hashlib
 
-from perfectsim.backward import run_algorithm1
+from perfectsim.backward import MaxRoundsExceeded, run_algorithm1
 from perfectsim.cli import main
-from perfectsim.coalescence import run_algorithm2
+from perfectsim.coalescence import prepare_coalescence, run_algorithm2
 from perfectsim.gallery import GALLERY, build_kernel
 from perfectsim.streams import StreamKey
 
@@ -70,6 +70,46 @@ def test_sweep_digest_is_unchanged():
         runs += 1
     assert runs == 1520
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+# The coupled route under per-past streams, which the sweep above never runs
+# (every kernel there gets a shared plan).  ``max_rounds`` is small, so some
+# runs stop at the cap and their partial tableaux are hashed instead; kernels
+# with and without a published horizon are both in.  Recorded from the code
+# at commit f1a6066, before phase 2 re-read each open time against the window
+# it last scanned.
+GOLDEN_PER_PAST_SHA256 = "fe1c553ea08b3ad6a9614db63aacad5343ac145c282245f63bb4a5b12b1ecdd0"
+
+_PER_PAST_KERNELS = (
+    ("cyclic4", {"theta": "geometric:0.4"}),
+    ("cyclic4", {"theta": "polynomial:0.3"}),
+    ("graph-walk", {"graph": "complete:3"}),
+    ("three-letter-alternating", {}),
+)
+
+
+def test_per_past_digest_is_unchanged():
+    h = hashlib.sha256()
+    outcomes = {"done": 0, "cut": 0}
+    for name, params in _PER_PAST_KERNELS:
+        kernel = build_kernel(name, params)
+        plan = dataclasses.replace(prepare_coalescence(kernel), shared=False)
+        for k in (0, 3):
+            for rep in range(10):
+                try:
+                    letters, rec = run_algorithm2(
+                        kernel, k, StreamKey(5, rep), max_rounds=300, plan=plan
+                    )
+                except MaxRoundsExceeded as e:
+                    tab = e.tableau
+                    out = (str(e), sorted(tab.temp.items()), tab.round)
+                    outcomes["cut"] += 1
+                else:
+                    out = (letters, rec.T, rec.rounds_used, rec.uniforms_consumed)
+                    outcomes["done"] += 1
+                h.update(repr(out).encode())
+    assert outcomes == {"done": 50, "cut": 30}
+    assert h.hexdigest() == GOLDEN_PER_PAST_SHA256
 
 
 # ``perfectsim diagnose`` on the 8 gallery kernels with their defaults and on

@@ -429,6 +429,25 @@ def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
     assert calls  # the counter sees the layouts a plan without them needs
 
 
+def test_phase2_evaluates_alpha_only_on_new_windows():
+    # phase 2 re-reads an open time against the masses of the window it
+    # last scanned, so only the newly refined window costs alpha calls;
+    # the 40 draws of the ``coupled`` benchmark pin the count
+    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    calls = []
+
+    def alpha(g, w):
+        calls.append(w)
+        return kern.alpha(g, w)
+
+    counted = dataclasses.replace(kern, alpha=alpha)
+    base = prepare_coalescence(kern)
+    plan = make_plan(counted, base.analysis, base.n0)
+    del calls[:]
+    _batch(counted, lambda: plan, 0, 1, 40)
+    assert len(calls) == 207
+
+
 def test_tableau_snapshots_never_contradict_earlier_letters():
     kern = build_kernel("graph-walk", {"graph": "complete:3"})
     snaps = []
@@ -482,42 +501,46 @@ def _fingerprint(n, snap):
     return hash((n, tuple(sorted(snap.items(), key=lambda kv: kv[0]))))
 
 
+def _outcome(fn, kern, k, key, plan, max_rounds):
+    """(result, trace fingerprints) of one run; a run stopped at the cap
+    gives its message and partial tableau as the result."""
+    tr = []
+    try:
+        xs, rec = fn(
+            kern,
+            k,
+            key,
+            max_rounds=max_rounds,
+            plan=plan,
+            trace=lambda n, s: tr.append(_fingerprint(n, s)),
+        )
+    except MaxRoundsExceeded as e:
+        return (str(e), e.tableau.temp, e.tableau.round), tr
+    return (xs, rec.T, rec.rounds_used, rec.uniforms_consumed), tr
+
+
 @pytest.mark.parametrize(
-    "name,params,ks,seeds",
+    "name,params,ks,seeds,max_rounds",
     [
-        ("graph-walk", {"graph": "complete:3"}, (0, 1, 2, 5), range(8)),
-        ("graph-walk", {"graph": "complete:4"}, (0, 1), range(4)),
-        ("cyclic4", {}, (0, 1), range(2)),
-        ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6)),
+        ("graph-walk", {"graph": "complete:3"}, (0, 1, 2, 5), range(8), 10**4),
+        ("graph-walk", {"graph": "complete:4"}, (0, 1), range(4), 10**4),
+        ("cyclic4", {}, (0, 1), range(2), 10**4),
+        ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6), 10**4),
+        # no exact_horizon: phase 2 reads every context back to the oldest window
+        ("cyclic4", {"theta": "polynomial:0.7"}, (0, 2), range(3), 400),
     ],
-    ids=["complete3", "complete4", "cycle4", "cycle4-past-horizon"],
+    ids=["complete3", "complete4", "cycle4", "cycle4-past-horizon", "cycle4-uncut"],
 )
-def test_event_driven_sampler_matches_the_direct_sweep(name, params, ks, seeds):
+def test_event_driven_sampler_matches_the_direct_sweep(
+    name, params, ks, seeds, max_rounds
+):
     kern = build_kernel(name, params)
     for shared, k, seed in itertools.product((True, False), ks, seeds):
         plan = dataclasses.replace(prepare_coalescence(kern), shared=shared)
         key = StreamKey(seed=seed, replication=k)
-        tr_new, tr_ref = [], []
-        xs_n, rec_n = run_algorithm2(
-            kern,
-            k,
-            key,
-            plan=plan,
-            trace=lambda n, s: tr_new.append(_fingerprint(n, s)),
-        )
-        xs_r, rec_r = run_algorithm2_ref(
-            kern,
-            k,
-            key,
-            plan=plan,
-            trace=lambda n, s: tr_ref.append(_fingerprint(n, s)),
-        )
-        case = (name, shared, k, seed)
-        assert xs_n == xs_r, case
-        assert rec_n.T == rec_r.T, case
-        assert rec_n.rounds_used == rec_r.rounds_used, case
-        assert rec_n.uniforms_consumed == rec_r.uniforms_consumed, case
-        assert tr_new == tr_ref, case
+        new = _outcome(run_algorithm2, kern, k, key, plan, max_rounds)
+        ref = _outcome(run_algorithm2_ref, kern, k, key, plan, max_rounds)
+        assert new == ref, (name, shared, k, seed)
 
 
 def test_horizon_cut_matches_the_uncut_run():
