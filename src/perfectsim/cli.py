@@ -109,8 +109,9 @@ def _resolve(args) -> dict:
         "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
         "out": args.out if args.out is not None else cfg.get("out", args.command),
     }
+    flag = getattr(args, "algo", None)
+    out["algo"] = flag if flag is not None else cfg.get("algo", "algo1")
     for name, default in (
-        ("algo", "algo1"),
         ("k", 0),
         ("reps", None),
         ("max_rounds", None),
@@ -124,7 +125,11 @@ def _resolve(args) -> dict:
         ("n0_max", 64),
     ):
         flag = getattr(args, name, None)
-        out[name] = flag if flag is not None else cfg.get(name, default)
+        val = flag if flag is not None else cfg.get(name, default)
+        # a count or a length; a bool is an int to Python, not here
+        if val is not None and (type(val) is not int or val < 0):
+            raise ConfigError(f"{name} must be a non-negative integer, got {val!r}")
+        out[name] = val
     if out["kernel"] is None:
         raise ConfigError("--kernel (or a config 'kernel' key) is required")
     if out["kernel"] not in GALLERY:
@@ -159,21 +164,22 @@ def _open_csv(path, cfg):
 def cmd_sample(cfg) -> int:
     kernel = _build(cfg)
     reps = cfg["reps"] if cfg["reps"] is not None else 1000
-    max_rounds = cfg["max_rounds"]  # None = per-algorithm default
     k = cfg["k"]
     algo = cfg["algo"]
     if algo not in ("algo1", "algo2", "auxiliary"):
         raise ConfigError(f"unknown --algo {algo!r}")
+    max_rounds = cfg["max_rounds"]
+    if max_rounds is None:
+        max_rounds = 10**6 if algo == "algo1" else 10**4
 
     plan = None
     if algo == "algo2":
         plan = prepare_coalescence(kernel, cfg["nhat_max"], cfg["n0_max"])
-        cap = max_rounds if max_rounds else 10**4
-        if plan.expected_windows is not None and plan.expected_windows > cap:
+        if plan.expected_windows is not None and plan.expected_windows > max_rounds:
             _warn(
                 "expected-windows",
                 f"the plan expects about {plan.expected_windows:.0f} windows "
-                f"per draw, more than the cap of {cap} (--max-rounds)",
+                f"per draw, more than the cap of {max_rounds} (--max-rounds)",
             )
     rows = []
     marginal: dict = {}
@@ -181,15 +187,13 @@ def cmd_sample(cfg) -> int:
     for rep in range(reps):
         key = StreamKey(seed=cfg["seed"], replication=rep)
         if algo == "algo1":
-            syms, rec = run_algorithm1(
-                kernel, k, key, max_rounds=max_rounds if max_rounds else 10**6
-            )
+            syms, rec = run_algorithm1(kernel, k, key, max_rounds=max_rounds)
         elif algo == "algo2":
             syms, rec = run_algorithm2(
                 kernel,
                 k,
                 key,
-                max_rounds=max_rounds if max_rounds else 10**4,
+                max_rounds=max_rounds,
                 plan=plan,
             )
         else:
@@ -225,7 +229,7 @@ def cmd_sample(cfg) -> int:
         return m, (var / len(xs)) ** 0.5
 
     mean_t, se_t = _mean_se(abs_ts)
-    numeric = [s for s in ([] if reps == 0 else [r[1 + k] for r in rows])]
+    numeric = [r[1 + k] for r in rows]
     x0_vals = [int(v) for v in numeric if v != "*"] if all(
         v == "*" or v.lstrip("-").isdigit() for v in numeric
     ) else []

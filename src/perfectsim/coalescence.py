@@ -31,7 +31,6 @@ makes phase-1 agreement possible at all under per-past streams.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from bisect import bisect_right
@@ -453,7 +452,10 @@ def make_plan(
     """Plan for a resolved (n̂ analysis, n₀): shared uniforms whenever they
     can make phase 1 agree, per-past streams otherwise.  The plan keeps
     the phase-1 layouts its agreement walk built, which that walk's
-    ExplosionGuard budget bounds."""
+    ExplosionGuard budget bounds.  n₀ must be at least n̂, so that a
+    window's left context lies in the next-older window alone."""
+    if n0 < analysis.order:
+        raise ValueError(f"n0 = {n0} is below the order n̂ = {analysis.order}")
     layouts: dict = {}
     agreement = phase1_agreement(kernel, analysis, n0, layouts)
     return CoalescencePlan(
@@ -545,16 +547,21 @@ def run_algorithm2(
     is evaluated.  A window's first sweep takes trajectory b's letters and
     opens each of b's STAR times on b's phase-1 boundary, context and
     masses.  That is the window a direct sweep would compare against:
-    a letter written at a time older than t marks t's window stale in the
-    same round, and sweeps run oldest window first and ascending within a
-    window, so t's start-of-round view equals the window it last scanned
-    up to trailing stars, and both give the same alpha bits.
+    letters are written by phase 1, in the oldest window, or by the pass
+    below, which runs oldest window first and ascending within a window,
+    so a letter written at a time older than t is followed in the same
+    round by the sweep of t's window; t's start-of-round view equals the
+    window it last scanned up to trailing stars, and both give the same
+    alpha bits.
 
-    Phase 2 is event-driven: a window is swept only while its left
-    n̂-context is fully known and it still has unresolved positions,
-    which is behaviourally identical to sweeping every window each round
-    (the skipped ones are no-ops) but keeps long runs (k in the tens of
-    thousands) close to linear.
+    Phase 2 is one pass per round.  A letter changes the view of newer
+    windows only, so if phase 1 fixes no letter no view changed and
+    nothing is swept; if it fixes one, every open window whose left
+    n̂-context is known is swept once, oldest first, including a window
+    whose context the sweep of the next-older one completes.  That is
+    behaviourally identical to sweeping every window each round (the
+    skipped sweeps would add nothing) but keeps long runs (k in the tens
+    of thousands) close to linear.
 
     When the kernel publishes a float-exact memory horizon H
     (``closed_forms["exact_horizon"]``: letters at lags >= H change no
@@ -575,8 +582,7 @@ def run_algorithm2(
     horizon = kernel.closed_forms.get("exact_horizon")
     admissible = kernel.admissible_window
     C = plan.analysis.states
-    idx = plan.index
-    pids = tuple(idx[a] for a in C)
+    idx = plan.index  # C[i] -> i: the past ids of the per-past streams
 
     def l(z):  # oldest time of window z (z = 0 is the newest window)
         return -(z + 1) * n0 + 1
@@ -588,18 +594,13 @@ def run_algorithm2(
     last: dict = {}  # open time -> (threshold, window, masses) of its last scan
     ucache: dict = {}
     ttil: dict = {}
-    # window z -> {pid: {time: (symbol, boundary, context, masses)}}, kept
-    # until the window's first phase-2 sweep
+    # window z -> [{time: (symbol, boundary, context, masses)} per past
+    # id], kept until the window's first phase-2 sweep
     traj: dict = {}
     known = plan.layouts  # live contexts -> their _layout, read only
     local: dict = {}  # pruned layouts or per-past tables, this run only
-    unresolved: dict = {}  # window z -> count of STAR positions
+    unresolved: dict = {}  # open window z -> count of its STAR positions
     b_ready: dict = {}  # window z -> its completed left context
-    active: set = set()  # b known and unresolved positions remain
-    stale: set = set()  # active windows whose context gained a letter
-    heap: list = []  # phase-2 queue, oldest window first (stores -z)
-    inq: set = set()
-    cur_sweep = None  # window being swept; its own writes need no re-queue
     targets_left = k + 1
 
     def _u(t, pid):
@@ -618,31 +619,21 @@ def run_algorithm2(
         zt = (-t) // n0
         unresolved[zt] -= 1
         if unresolved[zt] == 0:
-            active.discard(zt)
-            stale.discard(zt)
+            del unresolved[zt]
             traj.pop(zt, None)
-        # t may be the last missing piece of some window's left context
-        for m in range(-t - nhat + 1, -t + 1):
-            if m > 0 and m % n0 == 0:
-                z = m // n0 - 1
-                if z >= 0 and z not in b_ready:
-                    b = tuple(
-                        temp.get(j, STAR) for j in range(l(z) - 1, l(z) - nhat - 1, -1)
-                    )
-                    if any(x is STAR for x in b):
-                        continue
-                    if b not in idx:
-                        raise KernelContractViolation(
-                            f"{kernel.name}: completed context {b!r} is not an "
-                            "admissible window"
-                        )
-                    b_ready[z] = b
-                    if unresolved.get(z, 0) > 0:
-                        active.add(z)
-                        stale.add(z)
-                        if z not in inq:
-                            heapq.heappush(heap, -z)
-                            inq.add(z)
+        # n̂ <= n₀, so window zt - 1's left context is the n̂ newest times
+        # of window zt, and t may be its last missing letter
+        z = zt - 1
+        if z >= 0 and z not in b_ready and t > r(zt) - nhat:
+            b = tuple(temp.get(j, STAR) for j in range(r(zt), r(zt) - nhat, -1))
+            if any(x is STAR for x in b):
+                return
+            if b not in idx:
+                raise KernelContractViolation(
+                    f"{kernel.name}: completed context {b!r} is not an "
+                    "admissible window"
+                )
+            b_ready[z] = b
 
     def _set_letter(t, sym, tt):
         newer = temp.get(t + 1, STAR)
@@ -657,16 +648,6 @@ def run_algorithm2(
         temp[t] = sym
         ttil[t] = tt
         _resolved(t)
-        # a letter at time t refreshes every window holding a newer
-        # position; a sweep skipped in between would have had all-zero
-        # increments (no context change, trailing stars add nothing), so
-        # gating re-sweeps on this mark is output-identical
-        for z2 in tuple(active):
-            if (-z2) * n0 > t and z2 != cur_sweep and z2 not in stale:
-                stale.add(z2)
-                if z2 not in inq:
-                    heapq.heappush(heap, -z2)
-                    inq.add(z2)
 
     def _context(t, stop):
         # letters at times t-1 down to stop, newest first; with a horizon,
@@ -690,8 +671,6 @@ def run_algorithm2(
                     "before one fully agrees"
                 )
             raise MaxRoundsExceeded(msg, SimulationTableau(dict(temp), n - 1, -k, 0))
-        del heap[:]
-        inq.clear()
         lo, hi = l(n), r(n)
 
         # phase 1: coupled trajectories through the fresh window z = n
@@ -707,7 +686,7 @@ def run_algorithm2(
                     tv[t] = (sym, acc, ctx, masses)
                 ctxs = tuple((sym,) + c for (sym, _), c in zip(picks, ctxs))
         else:
-            for tv, pid, ctx in zip(tvals, pids, C):
+            for pid, (tv, ctx) in enumerate(zip(tvals, C)):
                 for t in range(lo, hi + 1):
                     tab = local.get(ctx)
                     if tab is None:
@@ -715,7 +694,7 @@ def run_algorithm2(
                     sym, acc = _pick(tab, _u(t, pid))
                     tv[t] = (sym, acc, ctx, tab[2])
                     ctx = (sym,) + ctx
-        traj[n] = dict(zip(pids, tvals))
+        traj[n] = tvals
         unresolved[n] = n0
         for t in range(lo, hi + 1):
             syms = {tv[t][0] for tv in tvals}
@@ -724,21 +703,13 @@ def run_algorithm2(
             else:
                 temp[t] = STAR
 
-        # phase 2: sweep eligible windows oldest-first; resolving a window's
-        # positions can complete the next-newer window's left context or
-        # refresh its merged view, and either event queues it into the same
-        # within-round cascade.  Clean windows (no context change since
-        # their last sweep) are skipped: their increments would all be zero.
-        for z in stale:
-            if z in active and z not in inq:
-                heapq.heappush(heap, -z)
-                inq.add(z)
-        while heap:
-            z = -heapq.heappop(heap)
-            inq.discard(z)
-            if z not in active:
+        # phase 2: one pass, oldest window first, if phase 1 fixed a letter;
+        # a window resolved earlier in the pass, or whose left context is
+        # still unknown, is skipped
+        fixed = unresolved.get(n, 0) < n0
+        for z in sorted(unresolved, reverse=True) if fixed else ():
+            if z not in unresolved or z not in b_ready:
                 continue
-            cur_sweep = z
             b = b_ready[z]
             pid = idx[b]
             tz = traj.pop(z, None)
@@ -768,8 +739,6 @@ def run_algorithm2(
                     last[t] = (acc, w_new, new)
                 else:
                     _set_letter(t, sym, -n)
-            stale.discard(z)
-            cur_sweep = None
 
         if trace is not None:
             trace(n, dict(temp))

@@ -372,3 +372,61 @@ def test_misspelled_kernel_parameter_is_a_config_error(tmp_path, capsys, command
 def test_missing_kernel_is_a_config_error(capsys):
     assert _run("sample") == 2
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,argv,setting",
+    [
+        ("sample", ["--reps", "-2"], "reps"),
+        ("sample", ["--k", "-1"], "k"),
+        ("sample", ["--algo", "algo2", "--max-rounds", "-3"], "max_rounds"),
+        ("diagnose", ["--horizon", "-2"], "horizon"),
+        ("diagnose", ["--truncation", "-1"], "truncation"),
+    ],
+    ids=["reps", "k", "max-rounds", "horizon", "truncation"],
+)
+def test_negative_integer_flags_are_config_errors(tmp_path, capsys, command, argv, setting):
+    rc = _run(command, "--kernel", "cyclic4", *argv, "--out", str(tmp_path / "x"))
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-error"
+    assert payload["message"].startswith(f"{setting} must be a non-negative integer")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "setting,value",
+    [
+        ("reps", "x"),
+        ("reps", True),
+        ("k", 1.0),
+        ("max_rounds", -1),
+        ("n_terms", -1),
+        ("window_w", "2000"),
+        ("renewal_h", [50]),
+        ("budget", False),
+        ("nhat_max", -6),
+        ("n0_max", 2.5),
+    ],
+)
+def test_bad_integer_config_values_are_config_errors(tmp_path, capsys, setting, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kernel": "cyclic4", setting: value}))
+    rc = _run("diagnose", "--config", str(config), "--out", str(tmp_path / "x"))
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["message"] == (
+        f"{setting} must be a non-negative integer, got {value!r}"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_a_round_cap_of_zero_is_honoured(tmp_path, capsys):
+    # 0 is a cap, not "use the default": the first draw that needs a
+    # second window stops the run
+    argv = ["sample", "--kernel", "cyclic4", "--algo", "algo2", "--reps", "20"]
+    assert _run(*argv, "--max-rounds", "0", "--out", str(tmp_path / "c4")) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    warning, error = map(json.loads, err)
+    assert warning["message"].endswith("more than the cap of 0 (--max-rounds)")
+    assert error["message"].startswith("no coalescence within 0 windows; ")

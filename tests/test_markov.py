@@ -230,6 +230,15 @@ def test_plan_preparation_caches_and_rejects():
         prepare_coalescence(make_imitation((0.3, 0.2)), 6, 64)
 
 
+def test_plan_rejects_a_window_shorter_than_the_order():
+    # a window's left n̂-context must lie in the next-older window alone
+    cy = make_cyclic4(theta_geometric(0.5))
+    analysis = build_markov_analysis(cy, 2)
+    with pytest.raises(ValueError, match="below the order"):
+        make_plan(cy, analysis, 1)
+    assert make_plan(cy, analysis, 2).n0 == 2
+
+
 def _path5(theta):
     return build_kernel("graph-walk", {"graph": "path:5", "theta": theta})
 
@@ -429,11 +438,9 @@ def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
     assert calls  # the counter sees the layouts a plan without them needs
 
 
-def test_phase2_evaluates_alpha_only_on_new_windows():
-    # phase 2 re-reads an open time against the masses of the window it
-    # last scanned, so only the newly refined window costs alpha calls;
-    # the 40 draws of the ``coupled`` benchmark pin the count
-    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+def _alpha_calls(kern, shared, k, reps):
+    """alpha calls of ``reps`` draws of k + 1 targets on a plan built on a
+    counted copy of ``kern``, keys StreamKey(1, rep)."""
     calls = []
 
     def alpha(g, w):
@@ -442,10 +449,25 @@ def test_phase2_evaluates_alpha_only_on_new_windows():
 
     counted = dataclasses.replace(kern, alpha=alpha)
     base = prepare_coalescence(kern)
-    plan = make_plan(counted, base.analysis, base.n0)
+    plan = dataclasses.replace(
+        make_plan(counted, base.analysis, base.n0), shared=shared
+    )
     del calls[:]
-    _batch(counted, lambda: plan, 0, 1, 40)
-    assert len(calls) == 207
+    _batch(counted, lambda: plan, k, 1, reps)
+    return len(calls)
+
+
+def test_phase2_evaluates_alpha_only_on_new_windows():
+    # phase 2 re-reads an open time against the masses of the window it
+    # last scanned, so only the newly refined window costs alpha calls,
+    # and it sweeps a window only when its view changed; the 40 draws of
+    # the ``coupled`` benchmark pin the first count, longer targets under
+    # both couplings the others
+    cy = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    assert _alpha_calls(cy, True, 0, 40) == 207
+    assert _alpha_calls(cy, True, 5, 20) == 174
+    assert _alpha_calls(cy, False, 3, 10) == 3226
+    assert _alpha_calls(_path5("list:0.5,0.3,0.2"), True, 4, 10) == 442
 
 
 def test_tableau_snapshots_never_contradict_earlier_letters():
