@@ -20,10 +20,12 @@ from .kernels import (
     validate_kernel,
 )
 from .backward import (
+    BackwardPlan,
     BetaZeroForAlgo1,
     MaxRoundsExceeded,
     SimulationTableau,
     StoppingRecord,
+    prepare_backward,
     run_algorithm1,
     run_auxiliary_chain,
     run_joint_tableau,
@@ -68,6 +70,7 @@ from .gallery import (
 __all__ = [
     "STAR",
     "AssumptionViolated",
+    "BackwardPlan",
     "BetaNZero",
     "BetaZeroForAlgo1",
     "CoalescencePlan",
@@ -103,6 +106,7 @@ __all__ = [
     "make_imitation_general",
     "make_ladder",
     "make_three_letter_alternating",
+    "prepare_backward",
     "prepare_coalescence",
     "renewal_diagnostic",
     "rho_exact",

@@ -13,19 +13,22 @@ Per-time thresholds are chained: each time remembers the cumulative mass
 its uniform has already cleared, and a later round stacks only the fresh
 increments on top (they telescope to the whole cumulative sum).
 ``run_algorithm1`` and ``run_joint_tableau`` run this one pass
-(``_backward``) with the increment step ``_increment`` picks per run.  A
-kernel publishing ``closed_forms["additive_weight"]`` has alpha equal to
-its context-free mass plus one weight per known lag, so a re-read gains
-exactly the newly revealed letters' weights, folded in ascending lag
-order; being no difference of two ascending-order sums, that fold can
-leave a threshold a few ulps off a window scan's.  Other kernels scan
-alpha on the new window against the masses kept from the last scan.
+(``_backward``) on a ``BackwardPlan``: ``prepare_backward`` scans the empty
+window, checks beta(empty) and picks the increment step once per kernel,
+and a loop of runs passes its plan to each (a run given none prepares its
+own).  A kernel publishing ``closed_forms["additive_weight"]`` has alpha
+equal to its context-free mass plus one weight per known lag, so a
+re-read gains exactly the newly revealed letters' weights, folded in
+ascending lag order; being no difference of two ascending-order sums,
+that fold can leave a threshold a few ulps off a window scan's.  Other
+kernels scan alpha on the new window against the masses kept from the
+last scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .kernels import (
     STAR,
@@ -88,28 +91,66 @@ def threshold_violation(kernel, t, u, threshold) -> KernelContractViolation:
     )
 
 
-def _backward(kernel, lo, hi, uniforms, max_rounds, step=None):
-    """The round loop both spontaneous-symbol samplers share.
+class BackwardPlan(NamedTuple):
+    """What every spontaneous-symbol run on ``kernel`` shares.
 
-    Round r opens time hi - r with a pick from the empty window's table,
-    which is scanned once per run.  A spontaneous letter there re-reads
-    every still-unknown newer time, oldest first, through ``step(temp, t,
-    u, threshold, newly)``: the scan of the mass this round's letters
-    added, stacked on t's chained threshold, returning (symbol, new
-    threshold).  ``newly`` lists this round's (time, letter) pairs so far,
-    oldest first.  ``step=None`` takes the run's own step (``_increment``),
-    which shares the empty window's table.  Returns (temp, T, rounds,
-    uniforms consumed) once lo..hi are all known.
+    ``empty`` is the empty window's table, which opens every round and
+    seeds every open time's first re-read; ``beta`` is its total, beta(empty)
+    > 0; ``fold`` is the additive fold (see the module docstring), or None
+    when runs scan alpha, each through its own ``_cached_increment``.  No
+    run writes into the plan.
     """
+
+    kernel: KernelSpec
+    empty: tuple
+    beta: float
+    fold: Optional[Callable]
+
+
+def prepare_backward(kernel: KernelSpec) -> BackwardPlan:
+    """Resolve a kernel's route-1 plan: one scan of the empty window.
+    Raises BetaZeroForAlgo1 if beta(empty) = 0, when no round can succeed."""
+    return BackwardPlan(kernel, *_prepare(kernel))
+
+
+def _prepare(kernel):
+    """The plan's (empty, beta, fold), without the plan object, which a run
+    given no plan does not need."""
     empty = _table(kernel, ())
-    beta = _pick(empty, math.inf)[1]
+    beta = empty[1][-1] if empty[1] else 0.0  # the table's total
     if beta <= 0.0:
         raise BetaZeroForAlgo1(
             f"{kernel.name}: beta(empty) = {beta}; "
             "the spontaneous-symbol route needs it positive"
         )
+    return empty, beta, _fold(kernel)
+
+
+def _backward(kernel, lo, hi, uniforms, max_rounds, step=None, plan=None):
+    """The round loop both spontaneous-symbol samplers share.
+
+    Round r opens time hi - r with a pick from the empty window's table,
+    which the plan holds (``plan=None`` prepares one for this run).  A
+    spontaneous letter there re-reads every still-unknown newer time,
+    oldest first, through ``step(temp, t, u, threshold, newly)``: the scan
+    of the mass this round's letters added, stacked on t's chained
+    threshold, returning (symbol, new threshold).  ``newly`` lists this
+    round's (time, letter) pairs so far, oldest first.  ``step=None`` takes
+    the plan's step: its fold, or a ``_cached_increment`` of this run over
+    the plan's empty table.  Returns (temp, T, rounds, uniforms consumed)
+    once lo..hi are all known.
+    """
+    if plan is None:
+        empty, _, fold = _prepare(kernel)
+    elif plan.kernel is kernel:
+        empty, fold = plan.empty, plan.fold
+    else:
+        raise ValueError(
+            f"the plan was prepared for another kernel object "
+            f"({plan.kernel.name!r}), not this {kernel.name!r}"
+        )
     if step is None:
-        step = _increment(kernel, empty)
+        step = fold or _cached_increment(kernel, empty)
     temp: dict = {}
     thr: dict = {}
     us: dict = {}  # each time's uniform, read once when its round opens
@@ -165,11 +206,13 @@ def _cached_increment(kernel, empty):
     start over the masses of t's start-of-round view.  Up to trailing stars
     that view is the window t scanned at its previous step, or the empty
     window (the cascade runs oldest first and failed rounds only add older
-    stars), whose masses come from the run's table ``empty``; so only the
-    new window is evaluated, on the same alpha values as
-    ``_scan_increment``, and thresholds and symbols agree with it to the bit.
+    stars), whose masses start as a copy of the plan's table ``empty``:
+    ``_stack`` stores a letter it finds missing into the masses it is given,
+    and that store stays in this run.  So only the new window is evaluated,
+    on the same alpha values as ``_scan_increment``, and thresholds and
+    symbols agree with it to the bit.
     """
-    start = ((), empty[2])
+    start = ((), dict(empty[2]))
     cache: dict = {}  # open time -> (window of its last scan, masses by letter)
 
     def step(temp, t, u, threshold, newly):
@@ -187,12 +230,12 @@ def _cached_increment(kernel, empty):
     return step
 
 
-def _increment(kernel, empty):
-    """The increment step of one run on ``kernel`` (see the module
-    docstring); ``empty`` is the run's empty-window table."""
+def _fold(kernel):
+    """The additive fold step on ``kernel`` (see the module docstring), or
+    None without an ``additive_weight`` hook over a finite alphabet."""
     weight, letters = kernel.closed_forms.get("additive_weight"), kernel.alphabet
     if weight is None or letters is None:
-        return _cached_increment(kernel, empty)
+        return None
 
     def fold(temp, t, u, acc, newly):
         for g in letters:
@@ -213,6 +256,7 @@ def run_algorithm1(
     key: StreamKey,
     max_rounds: int = 10**6,
     uniforms=None,
+    plan: BackwardPlan | None = None,
 ):
     """Sample X_{-k}, ..., X_0 exactly from the stationary law.
 
@@ -220,19 +264,24 @@ def run_algorithm1(
     oldest first, record the StoppingRecord over the target times.
     ``uniforms`` may override the keyed stream (callable time -> u in
     [0,1)); the default, ``keyed_uniforms(key)``, reads
-    ``uniform_at(key.at(t))``.
+    ``uniform_at(key.at(t))``.  ``plan`` is ``prepare_backward(kernel)``
+    for this very kernel object (ValueError otherwise); a loop of runs
+    passes one, and a run given none prepares its own.
 
     Requires beta(empty) > 0: some letter must be producible with no
-    context, else no round can ever succeed.  With ``additive_weight`` the
-    cascade folds the revealed letters' weights (exact, alpha being additive
-    over known lags; its floats may differ from an alpha scan's in the last
-    bits); other kernels scan alpha (``_cached_increment``).
+    context, else no round can ever succeed (BetaZeroForAlgo1).  With
+    ``additive_weight`` the cascade folds the revealed letters' weights
+    (exact, alpha being additive over known lags; its floats may differ from
+    an alpha scan's in the last bits); other kernels scan alpha
+    (``_cached_increment``).
     """
     if k < 0:
         raise ValueError("k >= 0 required")
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-    temp, T, rounds, consumed = _backward(kernel, -k, 0, uniforms, max_rounds)
+    temp, T, rounds, consumed = _backward(
+        kernel, -k, 0, uniforms, max_rounds, plan=plan
+    )
     record = StoppingRecord(
         T={t: T[t] for t in range(-k, 1)},
         rounds_used=rounds,
@@ -261,7 +310,11 @@ def run_auxiliary_chain(kernel: KernelSpec, n: int, key: StreamKey, uniforms=Non
 
 
 def run_joint_tableau(
-    kernel: KernelSpec, top: int, key: StreamKey, max_extra_rounds: int = 10**6
+    kernel: KernelSpec,
+    top: int,
+    key: StreamKey,
+    max_extra_rounds: int = 10**6,
+    plan: BackwardPlan | None = None,
 ):
     """One backward pass resolving every time 0..top at once.
 
@@ -269,8 +322,11 @@ def run_joint_tableau(
     time of the resolving round (== the per-time stopping time).  It is
     run_algorithm1 over targets -top..0 on the stream shifted up by top,
     in the 0..top frame, for kernels with the additive_weight hook only;
-    a ``MaxRoundsExceeded`` tableau counts rounds below ``top``.
+    a ``MaxRoundsExceeded`` tableau counts rounds below ``top``.  ``plan``
+    is as for ``run_algorithm1``.
     """
     if "additive_weight" not in kernel.closed_forms:
         raise ValueError(f"{kernel.name} exposes no additive_weight hook")
-    return _backward(kernel, 0, top, keyed_uniforms(key), max_extra_rounds)[:2]
+    return _backward(
+        kernel, 0, top, keyed_uniforms(key), max_extra_rounds, plan=plan
+    )[:2]

@@ -27,7 +27,13 @@ import json
 import sys
 from decimal import Decimal, InvalidOperation
 
-from .backward import BetaZeroForAlgo1, MaxRoundsExceeded, run_algorithm1, run_auxiliary_chain
+from .backward import (
+    BetaZeroForAlgo1,
+    MaxRoundsExceeded,
+    prepare_backward,
+    run_algorithm1,
+    run_auxiliary_chain,
+)
 from .coalescence import (
     AssumptionViolated,
     BetaNZero,
@@ -100,18 +106,21 @@ def _load_config(path):
 def _resolve(args) -> dict:
     """Merge config file and flags; flags win, kernel params merge per key."""
     cfg = _load_config(args.config) if args.config else {}
-    params = dict(cfg.get("params", {}))
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    params = dict(params)
     params.update(_parse_params(args.param))
     out = {
         "command": args.command,
         "kernel": args.kernel if args.kernel is not None else cfg.get("kernel"),
         "params": params,
-        "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
         "out": args.out if args.out is not None else cfg.get("out", args.command),
     }
     flag = getattr(args, "algo", None)
     out["algo"] = flag if flag is not None else cfg.get("algo", "algo1")
     for name, default in (
+        ("seed", 0),
         ("k", 0),
         ("reps", None),
         ("max_rounds", None),
@@ -172,8 +181,11 @@ def cmd_sample(cfg) -> int:
     if max_rounds is None:
         max_rounds = 10**6 if algo == "algo1" else 10**4
 
-    plan = None
-    if algo == "algo2":
+    sampler = plan = None
+    if algo == "algo1":
+        sampler, plan = run_algorithm1, prepare_backward(kernel)
+    elif algo == "algo2":
+        sampler = run_algorithm2
         plan = prepare_coalescence(kernel, cfg["nhat_max"], cfg["n0_max"])
         if plan.expected_windows is not None and plan.expected_windows > max_rounds:
             _warn(
@@ -186,18 +198,10 @@ def cmd_sample(cfg) -> int:
     abs_ts = []
     for rep in range(reps):
         key = StreamKey(seed=cfg["seed"], replication=rep)
-        if algo == "algo1":
-            syms, rec = run_algorithm1(kernel, k, key, max_rounds=max_rounds)
-        elif algo == "algo2":
-            syms, rec = run_algorithm2(
-                kernel,
-                k,
-                key,
-                max_rounds=max_rounds,
-                plan=plan,
-            )
-        else:
+        if sampler is None:
             syms, rec = run_auxiliary_chain(kernel, k, key), None
+        else:
+            syms, rec = sampler(kernel, k, key, max_rounds=max_rounds, plan=plan)
         newest = syms[-1]
         marginal[_sym(newest)] = marginal.get(_sym(newest), 0) + 1
         if rec is None:
@@ -244,7 +248,7 @@ def cmd_sample(cfg) -> int:
         "mean_x0": mean_x0,
         "se_x0": se_x0,
     }
-    if plan is not None:
+    if algo == "algo2":
         summary["coupling"] = plan.coupling
         summary["phase1_agreement"] = plan.agreement
         summary["expected_windows"] = plan.expected_windows
@@ -287,12 +291,16 @@ def cmd_diagnose(cfg) -> int:
 
     horizon = cfg["horizon"] if cfg["horizon"] is not None else 6
     reps = cfg["reps"] if cfg["reps"] is not None else 5000
-    mc_ok = kernel.beta(()) > 0.0
+    try:
+        plan = prepare_backward(kernel)
+    except BetaZeroForAlgo1:
+        plan = None
+    mc_ok = plan is not None
     counts = [0] * (horizon + 1)
     if mc_ok:
         for rep in range(reps):
             key = StreamKey(seed=cfg["seed"], replication=rep)
-            _, rec = run_algorithm1(kernel, 0, key)
+            _, rec = run_algorithm1(kernel, 0, key, plan=plan)
             for n in range(horizon + 1):
                 if -rec.T[0] > n:
                     counts[n] += 1
@@ -324,6 +332,7 @@ def cmd_diagnose(cfg) -> int:
             cfg["renewal_h"],
             cfg["window_w"],
             StreamKey(seed=cfg["seed"], replication=10**9),
+            plan=plan,
         )
         renewal = {
             "window_w": rep.window_w,

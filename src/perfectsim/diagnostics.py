@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .backward import run_joint_tableau
+from .backward import BackwardPlan, run_joint_tableau
 from .kernels import STAR, KernelSpec
 from .coalescence import ExplosionGuard, MarkovAnalysis, NotFound, find_nhat
 from .streams import StreamKey
@@ -324,7 +324,11 @@ class RenewalReport:
 
 
 def renewal_diagnostic(
-    kernel: KernelSpec, horizon_h: int, window_w: int, key: StreamKey
+    kernel: KernelSpec,
+    horizon_h: int,
+    window_w: int,
+    key: StreamKey,
+    plan: BackwardPlan | None = None,
 ) -> RenewalReport:
     """Stationarity check on the per-time stopping structure.
 
@@ -334,10 +338,12 @@ def renewal_diagnostic(
     two halves of [0, W] are exchangeable: the report compares their
     means (z score) and their histograms (homogeneity chi-square), and
     quantifies the horizon truncation by the exact tail mass at H.
+    ``plan`` is the kernel's ``prepare_backward`` plan, if the caller holds
+    one.
     """
     if horizon_h < 0 or window_w < 1:
         raise ValueError("need horizon_h >= 0 and window_w >= 1")
-    _, T = run_joint_tableau(kernel, window_w + horizon_h, key)
+    _, T = run_joint_tableau(kernel, window_w + horizon_h, key, plan=plan)
 
     renewals = []
     for m in range(window_w + 1):

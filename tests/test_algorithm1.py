@@ -12,10 +12,12 @@ import pytest
 import perfectsim
 
 from reference_impl import run_algorithm1_ref
+from test_golden_outputs import _spontaneous_kernels
 
 from perfectsim.backward import (
     BetaZeroForAlgo1,
     MaxRoundsExceeded,
+    prepare_backward,
     run_algorithm1,
     run_auxiliary_chain,
     run_joint_tableau,
@@ -100,10 +102,12 @@ def test_negative_target_span_is_rejected():
 
 
 def test_kernels_without_spontaneous_mass_are_rejected():
-    with pytest.raises(BetaZeroForAlgo1):
-        run_algorithm1(make_flipflop(flipflop_r(0.5, 0.5)), 0, StreamKey(0))
-    with pytest.raises(BetaZeroForAlgo1):
-        run_algorithm1(make_three_letter_alternating(), 0, StreamKey(0))
+    flipflop = make_flipflop(flipflop_r(0.5, 0.5))
+    for kernel in (flipflop, make_three_letter_alternating()):
+        with pytest.raises(BetaZeroForAlgo1):
+            run_algorithm1(kernel, 0, StreamKey(0))
+        with pytest.raises(BetaZeroForAlgo1):
+            prepare_backward(kernel)
 
 
 def test_round_budget_exhaustion_reports_the_partial_tableau():
@@ -288,26 +292,64 @@ def test_one_run_reads_the_empty_window_once_per_letter(kernel):
     assert deepest >= 5
 
 
-def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        make_autoregressive(theta_geometric(0.8), 0.3),
+        _window_scan(make_autoregressive(theta_geometric(0.8), 0.3)),
+        build_kernel("imitation", {}),
+    ],
+    ids=["autoregressive", "autoregressive-scan", "imitation"],
+)
+def test_a_plan_reads_the_empty_window_once_and_its_runs_never(kernel):
+    # the plan holds the one scan of the empty window, so the runs given it
+    # open every round and seed every first re-read without reading it again
+    calls = []
+
+    def alpha(g, w):
+        if not canon(w):
+            calls.append(g)
+        return kernel.alpha(g, w)
+
+    counted = dataclasses.replace(kernel, alpha=alpha, beta=None)
+    plan = prepare_backward(counted)
+    assert sorted(calls) == sorted(kernel.letters_for(()))
+    calls.clear()
+    deepest = 0
+    for k in (0, 5):
+        for rep in range(30):
+            key = StreamKey(seed=44, replication=rep)
+            _, rec = run_algorithm1(counted, k, key, plan=plan)
+            deepest = max(deepest, rec.rounds_used)
+    assert calls == []
+    assert deepest >= 5
+
+
+def _understated():
     # positive_letters leaves out letter 2 on windows shorter than 2 although
-    # it carries mass there (0.0625 on one known letter), so the first scan
-    # that names it finds no cached mass and must evaluate alpha on the
-    # cached window: not take 0, not read the empty window.  That mass never
-    # enters a threshold, so a uniform above 0.9375 can stay open for good:
-    # the round budget cuts those runs
+    # it carries mass there (0.0625 on one known letter)
     def alpha(g, w):
         n = min(len(canon(w)), 4)
         if g == 1:
             return (0.25, 0.375, 0.5, 0.625, 0.75)[n]
         return (0.03125, 0.0625, 0.125, 0.1875, 0.25)[n] if g == 2 else 0.0
 
-    understated = KernelSpec(
+    return KernelSpec(
         "understated",
         {},
         None,
         alpha,
         positive_letters=lambda w: (1,) if len(canon(w)) < 2 else (1, 2),
     )
+
+
+def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
+    # the first scan that names the understated kernel's letter 2 finds no
+    # cached mass and must evaluate alpha on the cached window: not take 0,
+    # not read the empty window.  That mass never enters a threshold, so a
+    # uniform above 0.9375 can stay open for good: the round budget cuts
+    # those runs
+    understated = _understated()
     for k in (0, 3):
         for rep in range(200):
             key = StreamKey(seed=43, replication=rep)
@@ -316,6 +358,78 @@ def test_cached_increment_reads_a_missing_letter_on_the_cached_window():
                 for run in (run_algorithm1, run_algorithm1_ref)
             )
             assert cached == rebuilt, (k, rep)
+
+
+def test_runs_given_a_plan_leave_its_empty_masses_unchanged():
+    # on the understated kernel a run reads the missing letter 2 on the
+    # empty window and stores its mass with the masses it started from: in
+    # its own copy, never in the plan that every run shares
+    understated = _understated()
+    reads = []
+    alpha = understated.alpha
+
+    def counted(g, w):
+        if not canon(w):
+            reads.append(g)
+        return alpha(g, w)
+
+    kernel = dataclasses.replace(understated, alpha=counted, beta=None)
+    plan = prepare_backward(kernel)
+    letters, cum, masses = plan.empty
+    before = (letters, list(cum), dict(masses))
+    reads.clear()
+    keys = [(k, StreamKey(43, rep)) for k in (0, 3) for rep in range(200)]
+    shared = [
+        _outcome(run_algorithm1, kernel, k, key, max_rounds=40, plan=plan)
+        for k, key in keys
+    ]
+    assert 2 in reads  # the store happened, in the runs' copies
+    assert plan.empty == before
+    assert plan.empty[2] == {1: 0.25}
+    assert shared == [
+        _outcome(run_algorithm1, kernel, k, key, max_rounds=40) for k, key in keys
+    ]
+
+
+def _sweep_id(kernel):
+    theta = kernel.parameters.get("theta", kernel.name)
+    if kernel.name == "autoregressive" and "additive_weight" not in kernel.closed_forms:
+        return theta + "-scan"
+    return theta
+
+
+@pytest.mark.parametrize("kernel", list(_spontaneous_kernels()), ids=_sweep_id)
+def test_runs_with_and_without_a_plan_agree(kernel):
+    # one plan shared by every run decides exactly what each run's own plan
+    # would: letters, stopping times, rounds and uniforms, and cut tableaux
+    plan = prepare_backward(kernel)
+    for k in (0, 3, 12):
+        for rep in range(20):
+            key = StreamKey(seed=7, replication=rep)
+            for cap in (2000, 3):
+                own = _outcome(run_algorithm1, kernel, k, key, max_rounds=cap)
+                assert own == _outcome(
+                    run_algorithm1, kernel, k, key, max_rounds=cap, plan=plan
+                ), (k, rep, cap)
+    if "additive_weight" in kernel.closed_forms:
+        for rep in range(20):
+            key = StreamKey(seed=7, replication=rep)
+            shared = run_joint_tableau(kernel, 12, key, plan=plan)
+            assert shared == run_joint_tableau(kernel, 12, key), rep
+
+
+def test_a_plan_for_another_kernel_object_is_refused():
+    # the plan records its kernel; an equal-looking copy may have had its
+    # alpha replaced since, so only the very object the plan was made for
+    # may use it
+    kernel = _autoreg()
+    plan = prepare_backward(kernel)
+    assert plan.kernel is kernel
+    twin = dataclasses.replace(kernel)
+    with pytest.raises(ValueError, match="another kernel object"):
+        run_algorithm1(twin, 0, StreamKey(0), plan=plan)
+    with pytest.raises(ValueError, match="another kernel object"):
+        run_joint_tableau(twin, 3, StreamKey(0), plan=plan)
 
 
 def test_a_decreasing_mass_is_refused_like_the_reference():
@@ -400,20 +514,40 @@ _BROKEN_KERNELS = textwrap.dedent(
                 continue
         else:
             print(name, "never tripped")
+
+    # no context-free mass: the plan refuses the kernel, and so does the CLI
+    import contextlib, io, json
+    from perfectsim import cli
+    from perfectsim.backward import BetaZeroForAlgo1, prepare_backward
+    from perfectsim.gallery import make_flipflop, flipflop_r
+    try:
+        prepare_backward(make_flipflop(flipflop_r(0.5, 0.5)))
+    except BetaZeroForAlgo1:
+        print("prepare_backward raised BetaZeroForAlgo1")
+    else:
+        print("prepare_backward accepted beta(empty) = 0")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["sample", "--kernel", "flipflop", "--algo", "algo1",
+                       "--reps", "5", "--out", "ff"])
+    payload = json.loads(err.getvalue().splitlines()[-1])
+    print("sample exit", rc, payload["error"], payload["type"])
     """
 )
 
 
-def test_threshold_checks_run_under_python_O():
+def test_threshold_checks_run_under_python_O(tmp_path):
     # the chained-threshold checks of all three samplers (the spontaneous
     # one under both increment steps, the coupled one under both couplings)
     # and the scan step's "decreased" check are raises, not asserts, so a
-    # broken kernel is still caught with assertions stripped
+    # broken kernel is still caught with assertions stripped; so is the
+    # plan's beta(empty) check, which the CLI maps to exit 3
     src = os.path.dirname(os.path.dirname(perfectsim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_KERNELS],
         env=env,
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=300,
@@ -427,10 +561,15 @@ def test_threshold_checks_run_under_python_O():
         "run_algorithm2",
         "run_algorithm2-per-past",
         "run_algorithm1-shrinking",
+        "prepare_backward",
+        "sample",
     ], out.stdout
-    assert all("tripped:" in line for line in lines), out.stdout
+    assert all("tripped:" in line for line in lines[:6]), out.stdout
     assert all("threshold nan" in line for line in lines[:5]), out.stdout
     assert "decreased by" in lines[5], out.stdout
+    assert lines[6] == "prepare_backward raised BetaZeroForAlgo1", out.stdout
+    assert lines[7] == "sample exit 3 assumption-violated BetaZeroForAlgo1", out.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_replay_is_bit_identical_and_replications_are_separate():

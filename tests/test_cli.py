@@ -382,8 +382,9 @@ def test_missing_kernel_is_a_config_error(capsys):
         ("sample", ["--algo", "algo2", "--max-rounds", "-3"], "max_rounds"),
         ("diagnose", ["--horizon", "-2"], "horizon"),
         ("diagnose", ["--truncation", "-1"], "truncation"),
+        ("sample", ["--seed", "-5"], "seed"),
     ],
-    ids=["reps", "k", "max-rounds", "horizon", "truncation"],
+    ids=["reps", "k", "max-rounds", "horizon", "truncation", "seed"],
 )
 def test_negative_integer_flags_are_config_errors(tmp_path, capsys, command, argv, setting):
     rc = _run(command, "--kernel", "cyclic4", *argv, "--out", str(tmp_path / "x"))
@@ -407,6 +408,10 @@ def test_negative_integer_flags_are_config_errors(tmp_path, capsys, command, arg
         ("budget", False),
         ("nhat_max", -6),
         ("n0_max", 2.5),
+        ("seed", "x"),
+        ("seed", True),
+        ("seed", -5),
+        ("seed", 1.5),
     ],
 )
 def test_bad_integer_config_values_are_config_errors(tmp_path, capsys, setting, value):
@@ -418,6 +423,19 @@ def test_bad_integer_config_values_are_config_errors(tmp_path, capsys, setting, 
     assert payload["message"] == (
         f"{setting} must be a non-negative integer, got {value!r}"
     )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["sample", "diagnose"])
+@pytest.mark.parametrize("params", [[1], "delta=0.3", 5, None])
+def test_non_object_config_params_are_config_errors(tmp_path, capsys, command, params):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kernel": "autoregressive", "params": params}))
+    rc = _run(command, "--config", str(config), "--out", str(tmp_path / "x"))
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-error"
+    assert payload["message"] == f"params must be a JSON object, got {params!r}"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

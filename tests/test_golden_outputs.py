@@ -1,5 +1,5 @@
-"""A fixed sweep of both samplers, and the artifacts of ``diagnose``, each
-pinned by one digest.
+"""A fixed sweep of both samplers, and the artifacts of ``diagnose`` and of
+``sample``, each pinned by one digest.
 
 The digest is a sha256 over ``repr((letters, T, rounds_used,
 uniforms_consumed))`` of 1 520 runs: letters and integers only, no float
@@ -134,3 +134,29 @@ def test_diagnose_artifact_digest_is_unchanged(tmp_path, monkeypatch):
             h.update(f"{label}{suffix}\n".encode())
             h.update(path.read_bytes() if path.exists() else b"(absent)\n")
     assert h.hexdigest() == GOLDEN_DIAGNOSE_SHA256
+
+
+# ``perfectsim sample`` on both routes and on the auxiliary chain, CSV and
+# JSON artifacts alike.  Recorded from the code at commit f20f941, before the
+# spontaneous route's runs shared one prepared plan per command.
+GOLDEN_SAMPLE_SHA256 = "c0e53bd8efa09e05ccdc2c4c70809f3be856c7b37cc3b7e8ff7ad2da8b6286f5"
+
+_SAMPLE_RUNS = (
+    ("autoregressive-algo1", "autoregressive", "algo1", "2", "200"),
+    ("imitation-algo1", "imitation", "algo1", "2", "200"),
+    ("cyclic4-algo2", "cyclic4", "algo2", "1", "40"),
+    ("autoregressive-auxiliary", "autoregressive", "auxiliary", "3", "50"),
+)
+
+
+def test_sample_artifact_digest_is_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for label, kernel, algo, k, reps in _SAMPLE_RUNS:
+        argv = ["sample", "--kernel", kernel, "--algo", algo, "--k", k,
+                "--reps", reps, "--seed", "13", "--out", label]
+        assert main(argv) == 0, label
+        for suffix in (".csv", ".json"):
+            h.update(f"{label}{suffix}\n".encode())
+            h.update((tmp_path / f"{label}{suffix}").read_bytes())
+    assert h.hexdigest() == GOLDEN_SAMPLE_SHA256
