@@ -208,12 +208,16 @@ def _cached_increment(kernel, empty):
     window (the cascade runs oldest first and failed rounds only add older
     stars), whose masses start as a copy of the plan's table ``empty``:
     ``_stack`` stores a letter it finds missing into the masses it is given,
-    and that store stays in this run.  So only the new window is evaluated,
-    on the same alpha values as ``_scan_increment``, and thresholds and
-    symbols agree with it to the bit.
+    and that store stays in this run.  On a countable alphabet the view's
+    positive letters ride along with its masses, as ``positive_letters``
+    returned them (the empty window's are the table's letters), so a step
+    asks only the new window for its letters.  So only the new window is
+    evaluated, on the same alpha values and letters as ``_scan_increment``,
+    and thresholds and symbols agree with it to the bit.
     """
-    start = ((), dict(empty[2]))
-    cache: dict = {}  # open time -> (window of its last scan, masses by letter)
+    start = ((), dict(empty[2]), empty[0])
+    # open time -> (window of its last scan, masses by letter, its letters)
+    cache: dict = {}
 
     def step(temp, t, u, threshold, newly):
         # the oldest entry is this round's spontaneous letter, so the window
@@ -221,10 +225,12 @@ def _cached_increment(kernel, empty):
         # tuple grown from an iterator is resized, and freed ones pile up in
         # the interpreter's free lists (+3.6 MB peak over 1 000 deep runs)
         w_new = tuple([temp[j] for j in range(t - 1, newly[0][0] - 1, -1)])
-        w_old, old = cache.pop(t, start)
-        g, acc, new = _stack(kernel, u, threshold, w_new, w_old, old)
+        w_old, old, old_letters = cache.pop(t, start)
+        g, acc, new, letters = _stack(
+            kernel, u, threshold, w_new, w_old, old, old_letters
+        )
         if g is STAR:
-            cache[t] = (w_new, new)
+            cache[t] = (w_new, new, letters)
         return g, acc
 
     return step

@@ -117,6 +117,9 @@ def _resolve(args) -> dict:
         "params": params,
         "out": args.out if args.out is not None else cfg.get("out", args.command),
     }
+    if type(out["out"]) is not str or not out["out"]:
+        # a file stem: None, a list or "" would name odd or hidden files
+        raise ConfigError(f"out must be a non-empty string, got {out['out']!r}")
     flag = getattr(args, "algo", None)
     out["algo"] = flag if flag is not None else cfg.get("algo", "algo1")
     for name, default in (

@@ -734,7 +734,7 @@ def run_algorithm2(
                 if not u >= base:
                     raise threshold_violation(kernel, t, u, base)
                 w_new = canon(_context(t, lo))
-                sym, acc, new = _stack(kernel, u, base, w_new, w_old, old)
+                sym, acc, new, _ = _stack(kernel, u, base, w_new, w_old, old)
                 if sym is STAR:
                     last[t] = (acc, w_new, new)
                 else:

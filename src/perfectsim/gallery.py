@@ -310,7 +310,10 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
         """Possibly-Y prefix lengths up to the first certain one.
 
         Returns (cands, capped): capped=False means arbitrarily large Y
-        values stay consistent (the scan never hit a certain epoch).
+        values stay consistent (the scan never hit a certain epoch), and
+        then ``cands`` is only the prefix scanned so far.  On a countable
+        alphabet a star makes ``hi`` infinite for good, so the scan stops
+        at the first star.
         """
         if truncation is None:
             horizon = len(w)
@@ -320,14 +323,16 @@ def make_ladder(c_seq, q_family=None, truncation: Optional[int] = None) -> Kerne
             horizon = 2 * truncation + len(w) + 2
         cands = []
         lo = 0  # minimal possible prefix sum (stars count 1)
-        hi = 0.0  # maximal (stars count K; inf if unbounded alphabet)
+        hi = 0.0  # maximal (stars count K)
         for m in range(1, horizon + 1):
             if m <= len(w) and w[m - 1] is not STAR:
                 lo += w[m - 1]
                 hi += w[m - 1]
+            elif truncation is None:
+                return cands, False  # no later prefix is a certain epoch
             else:
                 lo += 1
-                hi = math.inf if truncation is None else hi + truncation
+                hi += truncation
             tm = m * (m + 1) // 2
             if lo <= tm:
                 cands.append(m)

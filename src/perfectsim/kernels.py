@@ -155,24 +155,29 @@ def _stack(
     w_new: Window,
     w_old: Window,
     old_masses: dict,
+    old_letters: Optional[tuple] = None,
 ):
     """The one increment scan: alpha(g|w_new) - alpha(g|w_old) stacked on acc.
 
     Letters run in alphabet order, or over the sorted union of both
-    windows' positive letters.  alpha on ``w_new`` is evaluated lazily up
+    windows' positive letters; ``old_letters``, when given, are
+    ``positive_letters(w_old)`` as an earlier scan returned them, and are
+    not asked for again.  alpha on ``w_new`` is evaluated lazily up
     to the first letter whose stacked total exceeds u; the old masses come
     from ``old_masses``, and a letter missing there reads alpha(g|w_old),
     stored back.  A drop beyond TOL means the kernel broke monotonicity;
     sub-TOL noise is clamped to zero so totals never decrease.  Returns
-    (symbol, total, masses of w_new by letter), the masses complete when
-    the symbol is STAR.
+    (symbol, total, masses of w_new by letter, letters of w_new), the
+    masses complete when the symbol is STAR; the letters are
+    ``positive_letters(w_new)``, or the alphabet when it is finite.
     """
     if kernel.alphabet is not None:
-        letters = kernel.alphabet
+        letters = new_letters = kernel.alphabet
     else:
-        letters = sorted(
-            set(kernel.positive_letters(w_new)) | set(kernel.positive_letters(w_old))
-        )
+        new_letters = kernel.positive_letters(w_new)
+        if old_letters is None:
+            old_letters = kernel.positive_letters(w_old)
+        letters = sorted(set(new_letters) | set(old_letters))
     alpha = kernel.alpha
     new = {}
     for g in letters:
@@ -190,8 +195,8 @@ def _stack(
             d = 0.0
         acc += d
         if u < acc:
-            return g, acc, new
-    return STAR, acc, new
+            return g, acc, new, new_letters
+    return STAR, acc, new, new_letters
 
 
 def _scan(kernel: KernelSpec, u: Optional[float], w: Window):

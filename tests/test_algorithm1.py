@@ -10,6 +10,7 @@ import textwrap
 import pytest
 
 import perfectsim
+from perfectsim import backward
 
 from reference_impl import run_algorithm1_ref
 from test_golden_outputs import _spontaneous_kernels
@@ -184,6 +185,9 @@ def _outcome(run, kernel, k, key, **kw):
         ("imitation", {}),
         ("imitation-general", {}),
         ("ladder", {}),
+        ("ladder", {"truncation": "6"}),
+        ("imitation", {"truncation": "6"}),
+        ("imitation-general", {"truncation": "6"}),
     ],
     ids=[
         "geometric:0.5",
@@ -193,6 +197,9 @@ def _outcome(run, kernel, k, key, **kw):
         "imitation",
         "imitation-general",
         "ladder",
+        "ladder-truncated",
+        "imitation-truncated",
+        "imitation-general-truncated",
     ],
 )
 def test_cached_increment_matches_the_rebuilt_windows(name, params):
@@ -213,6 +220,36 @@ def test_cached_increment_matches_the_rebuilt_windows(name, params):
             assert _outcome(run_algorithm1, kernel, k, key, max_rounds=3) == _outcome(
                 run_algorithm1_ref, kernel, k, key, max_rounds=3
             ), (k, rep)
+
+
+def test_a_cached_step_asks_only_the_new_window_for_its_letters(monkeypatch):
+    # each open time keeps its last window's positive letters with its
+    # masses, so a step on the countable ladder calls positive_letters once,
+    # on the new window; the old window's letters come from the cache or,
+    # for the empty window, from the plan's table
+    ladder = build_kernel("ladder", {})
+    calls = []
+
+    def positive_letters(w):
+        calls.append(w)
+        return ladder.positive_letters(w)
+
+    counted = dataclasses.replace(ladder, positive_letters=positive_letters, beta=None)
+    plan = prepare_backward(counted)
+    assert calls == [()]
+    steps = []
+    stack = backward._stack
+
+    def counted_stack(kernel, u, acc, w_new, w_old, *rest):
+        steps.append(w_old)
+        return stack(kernel, u, acc, w_new, w_old, *rest)
+
+    monkeypatch.setattr(backward, "_stack", counted_stack)
+    calls.clear()
+    for rep in range(100):
+        run_algorithm1(counted, 5, StreamKey(seed=45, replication=rep), plan=plan)
+    assert len(calls) == len(steps)
+    assert sum(1 for w in steps if w) > 100  # steps over a cached window
 
 
 def _window_scan(kernel):

@@ -439,6 +439,32 @@ def test_non_object_config_params_are_config_errors(tmp_path, capsys, command, p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["sample", "diagnose"])
+@pytest.mark.parametrize(
+    "config,argv,value",
+    [
+        ({"out": None}, [], None),
+        ({"out": ["a"]}, [], ["a"]),
+        ({"out": ""}, [], ""),
+        ({"out": 5}, [], 5),
+        ({}, ["--out", ""], ""),
+    ],
+    ids=["null", "list", "empty", "int", "empty-flag"],
+)
+def test_bad_out_values_are_config_errors(
+    tmp_path, monkeypatch, capsys, command, config, argv, value
+):
+    # out is the stem of every artifact's file name; a bad one used to name
+    # files None.csv, ['a'].csv or the hidden .csv and exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"kernel": "cyclic4", **config}))
+    assert _run(command, "--config", "cfg.json", *argv) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-error"
+    assert payload["message"] == f"out must be a non-empty string, got {value!r}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_a_round_cap_of_zero_is_honoured(tmp_path, capsys):
     # 0 is a cap, not "use the default": the first draw that needs a
     # second window stops the run
