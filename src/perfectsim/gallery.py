@@ -79,9 +79,9 @@ def theta_polynomial(eps: float) -> ThetaWeights:
 def theta_list(values) -> ThetaWeights:
     """Finite raw weights theta_0..theta_m; must sum to 1."""
     vals = tuple(float(v) for v in values)
-    if not vals or any(v < 0 for v in vals):
+    if not vals or not all(v >= 0 for v in vals):  # NaN fails too
         raise ValueError("weights must be a nonempty nonnegative list")
-    if abs(math.fsum(vals) - 1.0) > 1e-9:
+    if not abs(math.fsum(vals) - 1.0) <= 1e-9:
         raise ValueError(f"weights sum to {math.fsum(vals)}, not 1")
     # store exact suffix sums once so s(n) is reproducible
     sfx = [0.0] * (len(vals) + 1)
@@ -201,10 +201,10 @@ def _spontaneous_kernel(
     positive letters are {1..len(c)} and ``extra_letters(w)``.
     """
     c = tuple(float(v) for v in c_seq)
-    if not c or c[0] <= 0.0 or any(v < 0 for v in c):
+    if not c or not c[0] > 0.0 or not all(v >= 0 for v in c):  # NaN fails too
         raise ValueError("need c_1 > 0 and all c_g >= 0")
     total = math.fsum(c)
-    if total >= 1.0:
+    if not total < 1.0:
         raise ValueError("sum of c must be < 1")
     rest = 1.0 - total
     spontaneous = set(range(1, len(c) + 1))
@@ -502,6 +502,8 @@ def _walk_kernel(
 ) -> KernelSpec:
     """KernelSpec of the walk with closed neighbourhoods ``closed_nbhd``.
 
+    ``closed_nbhd[v]`` is the set of letters the walk can move to from v;
+    it holds v itself unless the walk never stays put.
     Publishes the float-exact memory horizon as
     ``closed_forms["exact_horizon"]`` (see :func:`_walk_horizon`); the
     coupled sampler cuts the contexts it builds there.
@@ -686,42 +688,20 @@ def make_three_letter_alternating(
     closed classes — a negative control.  With ``restrict_histories`` the
     admissible histories are the strictly alternating ones, runs collapse
     to tau = 1, alpha(g|b) = 1/2 for g != b, and the coalescence route
-    works with memory 1.
+    works with memory 1.  That chain is the walk on the triangle 0-1-2
+    whose neighbourhoods leave out v, so it never stays put, and with
+    theta = list:1.0 no lag carries weight.
     """
     letters = (0, 1, 2)
+    if restrict_histories:
+        return _walk_kernel(
+            "three-letter-alternating",
+            {"restrict_histories": True},
+            {v: set(letters) - {v} for v in letters},
+            theta_list((1.0,)),
+        )
     if r is None:
         r = lambda n: 1.0 - 2.0**-n
-
-    if restrict_histories:
-
-        def alpha(g, w: Window) -> float:
-            w = canon(w)
-            if g not in letters:
-                return 0.0
-            for i in range(len(w) - 1):
-                if w[i] is not STAR and w[i] == w[i + 1]:
-                    return 0.0  # inadmissible window: empty infimum
-            if not w:
-                return 0.0
-            if w[0] is not STAR:
-                return 0.5 if g != w[0] else 0.0
-            # x_{-1} unknown: it can be g unless pinned by x_{-2}
-            if len(w) > 1 and w[1] is not STAR and w[1] == g:
-                return 0.5
-            return 0.0
-
-        def admissible(w: Window) -> bool:
-            w = canon(w)
-            return all(w[i] != w[i + 1] for i in range(len(w) - 1))
-
-        return KernelSpec(
-            name="three-letter-alternating",
-            parameters={"restrict_histories": True},
-            alphabet=letters,
-            alpha=alpha,
-            admissible_window=admissible,
-        )
-
     return _run_length_kernel(
         "three-letter-alternating",
         {"restrict_histories": False},
@@ -766,37 +746,52 @@ def build_kernel(name: str, params: dict) -> KernelSpec:
     return kernel
 
 
+def _pop(p: dict, key: str, default: str) -> str:
+    """Pop ``key`` as text, ``default`` when it is missing or None.  The
+    command line reads ``c=0.3`` as a number, and a config file may hold
+    one; a number or bool is parsed from its text, any other non-string
+    value is a ValueError."""
+    val = p.pop(key, None)
+    if val is None:
+        return default
+    if not isinstance(val, (str, int, float)):
+        raise ValueError(f"{key} must be text or a number, got {val!r}")
+    return str(val)
+
+
 def _build(name: str, p: dict) -> KernelSpec:
     """The kernel ``name``, popping from ``p`` every parameter it reads."""
     if name == "autoregressive":
         return make_autoregressive(
-            parse_theta(p.pop("theta", "geometric:0.5")),
-            float(p.pop("delta", 0.3)),
+            parse_theta(_pop(p, "theta", "geometric:0.5")),
+            float(_pop(p, "delta", "0.3")),
         )
     if name in ("imitation", "imitation-general", "ladder"):
-        trunc = p.pop("truncation", None)
+        trunc = _pop(p, "truncation", "none")
         if name == "imitation-general" and p.pop("f", "uniform") != "uniform":
             raise ValueError("only the uniform lookback family is predefined")
-        c = _parse_floats(p.pop("c", "0.3,0.2"))
-        trunc = None if trunc in (None, "none") else int(trunc)
+        c = _parse_floats(_pop(p, "c", "0.3,0.2"))
+        trunc = None if trunc == "none" else int(trunc)
         if name == "imitation":
             return make_imitation(c, trunc)
         if name == "ladder":
             return make_ladder(c, None, trunc)
         return make_imitation_general(c, uniform_lookback, trunc)
     if name == "cyclic4":
-        return make_cyclic4(parse_theta(p.pop("theta", "geometric:0.5")))
+        return make_cyclic4(parse_theta(_pop(p, "theta", "geometric:0.5")))
     if name == "graph-walk":
         return make_graph_walk(
-            _parse_graph(p.pop("graph", "cycle:4")),
-            parse_theta(p.pop("theta", "geometric:0.5")),
+            _parse_graph(_pop(p, "graph", "cycle:4")),
+            parse_theta(_pop(p, "theta", "geometric:0.5")),
         )
     if name == "flipflop":
-        a, t = _parse_floats(p.pop("r", "0.5,0.5"))
+        a, t = _parse_floats(_pop(p, "r", "0.5,0.5"))
         return make_flipflop(flipflop_r(a, t))
     if name == "three-letter-alternating":
-        restrict = p.pop("restrict", "true").lower() != "false"
-        return make_three_letter_alternating(restrict_histories=restrict)
+        restrict = _pop(p, "restrict", "true").lower()
+        if restrict not in ("true", "false"):
+            raise ValueError(f"restrict must be true or false, got {restrict!r}")
+        return make_three_letter_alternating(restrict_histories=restrict == "true")
     raise ValueError(f"unknown kernel {name!r}")
 
 

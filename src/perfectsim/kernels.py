@@ -127,7 +127,7 @@ def _table(kernel: KernelSpec, w: Window, stop: float = math.inf):
     acc = 0.0
     for g in letters:
         a = masses[g] = kernel.alpha(g, w)
-        if a < -TOL or a > 1.0 + TOL:
+        if not -TOL <= a <= 1.0 + TOL:  # NaN fails too
             raise KernelContractViolation(
                 f"{kernel.name}: alpha({g!r}|{w!r}) = {a} outside [0,1]"
             )

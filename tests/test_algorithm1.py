@@ -499,7 +499,7 @@ _BROKEN_KERNELS = textwrap.dedent(
     assert not __debug__
     nan = float("nan")
     # context-free masses are fine, every mass that needs a context is NaN,
-    # which slips past the [0, 1] range check and poisons the thresholds;
+    # which the increment scans' drop checks let through to the thresholds;
     # run_algorithm1 folds the hook's weights, and scans alpha without it
     spont = KernelSpec(
         name="nan-context",

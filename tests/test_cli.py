@@ -369,6 +369,56 @@ def test_misspelled_kernel_parameter_is_a_config_error(tmp_path, capsys, command
     assert not (tmp_path / "ff.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kernel,param,want",
+    [
+        ("imitation", "c=0.3", {"c": (0.3,), "truncation": None}),
+        ("imitation", "truncation=3", {"c": (0.3, 0.2), "truncation": 3}),
+        ("autoregressive", "delta=1", {"theta": "geometric:0.5", "delta": 1.0}),
+    ],
+)
+def test_numeric_kernel_parameters_parse_from_their_text(tmp_path, kernel, param, want):
+    # the command line reads c=0.3 as a float; the kernel parses its text
+    # instead of calling a string method on it and crashing
+    assert _run("validate", "--kernel", kernel, "--param", param,
+                "--out", str(tmp_path / "v")) == 0
+    assert json.loads((tmp_path / "v.json").read_text())["passed"]
+    assert build_kernel(kernel, cli._parse_params([param])).parameters == want
+
+
+@pytest.mark.parametrize(
+    "kernel,param",
+    [
+        ("three-letter-alternating", "restrict=0"),
+        ("cyclic4", "theta=5"),
+        ("autoregressive", "theta=list:nan"),
+        ("imitation", "c=nan,0.2"),
+        ("imitation", "c=0.3,nan"),
+    ],
+)
+def test_kernel_parameters_without_a_reading_exit_2(tmp_path, capsys, kernel, param):
+    # NaN weights used to pass every check, and sample ran until its cap
+    rc = _run("sample", "--kernel", kernel, "--param", param, "--reps", "2",
+              "--out", str(tmp_path / "x"))
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-error"
+    assert payload["message"].startswith("bad kernel parameters: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_list_valued_config_parameter_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kernel": "imitation", "params": {"c": [0.3]}}))
+    rc = _run("sample", "--config", str(config), "--out", str(tmp_path / "x"))
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["message"] == (
+        "bad kernel parameters: c must be text or a number, got [0.3]"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_missing_kernel_is_a_config_error(capsys):
     assert _run("sample") == 2
     assert "required" in capsys.readouterr().err

@@ -67,6 +67,13 @@ def test_finite_weight_lists():
     assert th.support == 2
 
 
+@pytest.mark.parametrize("values", [(math.nan,), (0.5, math.nan), (math.nan, 0.5, 0.5)])
+def test_finite_weight_lists_reject_nan(values):
+    # a NaN weight used to pass both the sign and the sum check
+    with pytest.raises(ValueError):
+        theta_list(values)
+
+
 def test_polynomial_weights_are_consistent():
     th = theta_polynomial(0.5)
     for j in range(0, 30):
@@ -394,6 +401,18 @@ def test_three_letter_model_restricted_variant():
     assert [t3.alpha(g, (2, 1)) for g in (0, 1, 2)] == [ap(0.5), ap(0.5), 0.0]
 
 
+def test_three_letter_restricted_variant_is_the_loopless_triangle_walk():
+    t3 = make_three_letter_alternating()
+    # neighbourhoods without v: the walk never stays, and theta = list:1.0
+    # leaves no lag any weight, so one letter screens off the whole past
+    assert t3.alphabet == (0, 1, 2)
+    assert t3.closed_forms["exact_horizon"] == 1
+    assert [t3.closed_forms["s"](n) for n in range(3)] == [1.0, 0.0, 0.0]
+    for w in ((0, 1, 0, 2), (1, 2), (2, 0, 1)):
+        assert t3.admissible_window(w)
+        assert not t3.admissible_window(w + (w[-1],))
+
+
 def test_three_letter_model_unrestricted_variant():
     t3 = make_three_letter_alternating(restrict_histories=False)
     assert t3.beta(()) == 0.0
@@ -422,6 +441,57 @@ def test_catalog_constructor_plumbs_parameters():
         build_kernel("nonesuch", {})
     with pytest.raises(ValueError):
         build_kernel("graph-walk", {"graph": "nope:2"})
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("imitation", {"c": 0.3}),
+        ("imitation", {"c": "0.3"}),
+        ("ladder", {"c": 0.25, "truncation": 4}),
+        ("autoregressive", {"delta": 0.4, "theta": "list:1.0"}),
+        ("three-letter-alternating", {"restrict": False}),
+        ("three-letter-alternating", {"restrict": "TRUE"}),
+    ],
+)
+def test_catalog_parameters_parse_numbers_from_their_text(name, params):
+    # the command line reads c=0.3 as a float and a config may hold one;
+    # each builds the kernel its text names
+    kernel = build_kernel(name, params)
+    text = build_kernel(name, {k: str(v) for k, v in params.items()})
+    assert kernel.parameters == text.parameters
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("imitation", {"c": [0.3]}),
+        ("cyclic4", {"theta": 5}),
+        ("three-letter-alternating", {"restrict": 0}),
+        ("three-letter-alternating", {"restrict": "no"}),
+        ("ladder", {"truncation": 3.5}),
+    ],
+)
+def test_catalog_parameters_without_a_reading_are_value_errors(name, params):
+    with pytest.raises(ValueError):
+        build_kernel(name, params)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_imitation((math.nan, 0.2)),
+        lambda: make_imitation((0.3, math.nan)),
+        lambda: make_imitation((0.3, math.nan), truncation=3),
+        lambda: make_ladder((math.nan,)),
+        lambda: make_imitation_general((0.3, 0.2, math.nan), uniform_lookback),
+    ],
+)
+def test_spontaneous_kernels_reject_nan_masses(make):
+    # NaN spontaneous masses used to pass every check, and sample then
+    # drew until its round cap
+    with pytest.raises(ValueError):
+        make()
 
 
 @pytest.mark.parametrize("name", GALLERY)

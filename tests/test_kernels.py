@@ -3,12 +3,18 @@ randomized contract checker."""
 
 import dataclasses
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import perfectsim
+from perfectsim.backward import prepare_backward
 from perfectsim.gallery import (
     GALLERY,
     build_kernel,
@@ -92,6 +98,60 @@ def test_scan_rejects_over_unit_letter_mass():
     bad = KernelSpec("bad", {}, ("a",), lambda g, w: 1.5)
     with pytest.raises(KernelContractViolation):
         sample_symbol(bad, 0.4, ())
+
+
+def _nan_mass():
+    nan = float("nan")
+    return KernelSpec("nan-mass", {}, (0, 1), lambda g, w: nan if g == 1 else 0.1)
+
+
+def test_scan_rejects_a_nan_letter_mass():
+    # a NaN fails every comparison, so it used to pass the [0, 1] check and
+    # hand the plan beta(empty) = nan: every round then drew a star
+    with pytest.raises(KernelContractViolation, match="= nan outside"):
+        sample_symbol(_nan_mass(), 0.5, ())
+    with pytest.raises(KernelContractViolation, match="= nan outside"):
+        prepare_backward(_nan_mass())
+
+
+_NAN_MASS = textwrap.dedent(
+    """
+    from perfectsim import StreamKey, run_algorithm1
+    from perfectsim.backward import prepare_backward
+    from perfectsim.kernels import KernelContractViolation, KernelSpec
+
+    assert not __debug__
+    nan = float("nan")
+    kernel = KernelSpec("nan-mass", {}, (0, 1), lambda g, w: nan if g == 1 else 0.1)
+    for name, call in (
+        ("prepare_backward", lambda: prepare_backward(kernel)),
+        ("run_algorithm1", lambda: run_algorithm1(kernel, 0, StreamKey(0), max_rounds=5)),
+    ):
+        try:
+            call()
+        except KernelContractViolation as e:
+            print(name, "tripped:", e)
+    """
+)
+
+
+def test_nan_letter_mass_check_runs_under_python_O(tmp_path):
+    src = os.path.dirname(os.path.dirname(perfectsim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NAN_MASS],
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["prepare_backward", "tripped:"],
+        ["run_algorithm1", "tripped:"],
+    ], out.stdout
+    assert all("alpha(1|()) = nan outside [0,1]" in line for line in lines), out.stdout
 
 
 def test_trailing_stars_never_change_the_scan():

@@ -550,8 +550,17 @@ def _outcome(fn, kern, k, key, plan, max_rounds):
         ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6), 10**4),
         # no exact_horizon: phase 2 reads every context back to the oldest window
         ("cyclic4", {"theta": "polynomial:0.7"}, (0, 2), range(3), 400),
+        # exact_horizon 1: every context is cut at its newest known letter
+        ("three-letter-alternating", {}, (0, 1, 5), range(6), 10**4),
     ],
-    ids=["complete3", "complete4", "cycle4", "cycle4-past-horizon", "cycle4-uncut"],
+    ids=[
+        "complete3",
+        "complete4",
+        "cycle4",
+        "cycle4-past-horizon",
+        "cycle4-uncut",
+        "three-letter",
+    ],
 )
 def test_event_driven_sampler_matches_the_direct_sweep(
     name, params, ks, seeds, max_rounds
