@@ -204,7 +204,12 @@ def cmd_sample(cfg) -> int:
         if sampler is None:
             syms, rec = run_auxiliary_chain(kernel, k, key), None
         else:
-            syms, rec = sampler(kernel, k, key, max_rounds=max_rounds, plan=plan)
+            try:
+                syms, rec = sampler(kernel, k, key, max_rounds=max_rounds, plan=plan)
+            except MaxRoundsExceeded as exc:
+                # name the draw that ran out, and the rounds its tableau holds
+                _err("budget-exceeded", exc, replication=rep, rounds=exc.tableau.round)
+                return 4
         newest = syms[-1]
         marginal[_sym(newest)] = marginal.get(_sym(newest), 0) + 1
         if rec is None:
@@ -498,11 +503,9 @@ def main(argv=None) -> int:
         return 4
 
 
-def _err(kind: str, exc: Exception) -> None:
-    sys.stderr.write(
-        json.dumps({"error": kind, "type": type(exc).__name__, "message": str(exc)})
-        + "\n"
-    )
+def _err(kind: str, exc: Exception, **fields) -> None:
+    error = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
+    sys.stderr.write(json.dumps({**error, **fields}) + "\n")
 
 
 def _warn(kind: str, message: str) -> None:

@@ -18,9 +18,12 @@ each past reads its own uniform stream.  Under the shared coupling each
 phase-1 time lays [0, 1) out as a multigamma coupler (Murdoch & Green
 1998): first the mass that every live context gives each letter, in one
 common segment, then each context's remainder, then STAR.  A uniform in
-the common segment gives every past the same letter.  The shared coupling
-is an extension: the paper's abstract, the only part of the paper at
-hand, does not say which coupling it uses.
+the common segment gives every past the same letter.  The breakpoints of
+a layout cut [0, 1) into cells on which every past's letter is constant;
+the plan's agreement walk links each cell to the next time's layout, so
+a run's phase 1 follows that graph with one bisect per time.  The shared
+coupling is an extension: the paper's abstract, the only part of the
+paper at hand, does not say which coupling it uses.
 
 n̂ is the smallest order whose Markov lower-bound chain (transition mass
 alpha(g|w)/beta(w) on admissible windows) has a unique closed aperiodic
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, islice, product
 from operator import sub
+from typing import NamedTuple
 
 from .backward import (
     MaxRoundsExceeded,
@@ -289,27 +293,52 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
     )
 
 
-# cells phase1_agreement may visit before it gives up: graph-walk path:7
-# with geometric:0.5 weights (n₀ = 6), the largest planned walk, visits
-# 96 306 and keeps 14 217 layouts (1.6-1.9 s and about 33 MB on one core
-# of a 2-core VM); path:8 passes the budget after about 4.4 s and 73 MB,
-# as each further vertex multiplies the count by about 7
+# cells phase1_agreement may visit before it gives up, counting a tuple
+# of live contexts again at each visit: graph-walk path:7 with
+# geometric:0.5 weights (n₀ = 6), the largest planned walk, visits 96 306
+# and keeps 14 217 layouts; path:8 passes the budget, as each further
+# vertex multiplies the count by about 7
 PHASE1_MAX_CELLS = 200_000
 
 
-def _layout(kernel: KernelSpec, ctxs: tuple, scans: dict):
-    """The multigamma layout of [0, 1) for the live contexts ``ctxs``.
+class Layout(NamedTuple):
+    """The multigamma layout of [0, 1) at one phase-1 time, cut into cells.
 
-    Returns (letters, common, rests, masses).  ``common`` is the
-    cumulative common mass m(g) = min over ``ctxs`` of max(alpha(g|ctx), 0),
-    letter by letter in alphabet order, ending at M; ``rests[i]`` is
-    context i's cumulative remainder alpha(g|ctx) - m(g), stacked from M
-    in the same order and ending at its total; STAR takes the rest of
-    [0, 1).  ``masses[i]`` holds context i's alpha on ``letters_for``, as
-    ``_table`` scans and bounds-checks it, a letter missing there having
-    mass 0; ``scans`` (context -> masses and their clamped values in
-    alphabet order, filled in place) keeps them for the next layout that
-    needs them.
+    ``common`` is the cumulative common mass m(g) = min over the live
+    contexts ``ctxs`` of max(alpha(g|ctx), 0), letter by letter in
+    alphabet order (``letters``), ending at M; ``rests[i]`` is context i's
+    cumulative remainder alpha(g|ctx) - m(g), stacked from M in the same
+    order and ending at its total; STAR takes the rest of [0, 1).
+    ``masses[i]`` holds context i's alpha on ``letters_for``, as ``_table``
+    scans and bounds-checked it, a letter missing there having mass 0.
+
+    The breakpoints of ``common`` and ``rests`` below 1 cut [0, 1) into
+    cells; ``cuts`` holds them ascending, the left edges of every cell but
+    the first, so u lies in cell ``bisect_right(cuts, u)``.  Every bisect
+    ``_letter_at`` makes counts breakpoints, so each context's letter is
+    constant on a cell.  ``agreed[c]`` is the letter every context draws
+    on cell c, or STAR when they differ or one draws STAR; ``links[c]`` is
+    the layout of the next time's live contexts after cell c's letters,
+    where the plan's agreement walk went on from cell c, else None.
+    """
+
+    letters: tuple
+    common: array
+    rests: list
+    masses: list
+    ctxs: tuple
+    cuts: array
+    agreed: tuple
+    links: list
+
+
+def _layout(kernel: KernelSpec, ctxs: tuple, scans: dict):
+    """The ``Layout`` of the live contexts ``ctxs``, with no links, and the
+    letters of every context on each of its cells.
+
+    ``scans`` (context -> masses and their clamped values in alphabet
+    order, filled in place) keeps each context's ``_table`` scan for the
+    next layout that needs it.
     """
     letters = kernel.alphabet
     masses, pos = [], []
@@ -328,17 +357,39 @@ def _layout(kernel: KernelSpec, ctxs: tuple, scans: dict):
         array("d", islice(accumulate(map(sub, p, mins), initial=top), 1, None))
         for p in pos
     ]
-    return letters, common, rests, masses
+    cuts = sorted(
+        {0.0, 1.0}
+        | {min(c, 1.0) for c in common}
+        | {min(c, 1.0) for rest in rests for c in rest}
+    )
+    lay = Layout(letters, common, rests, masses, ctxs, array("d", cuts[1:-1]), (), ())
+    syms = [[g for g, _ in _letters_at(lay, lo)] for lo in cuts[:-1]]
+    agreed = tuple(
+        s[0] if s[0] is not STAR and s.count(s[0]) == len(s) else STAR
+        for s in syms
+    )
+    return lay._replace(agreed=agreed, links=[None] * len(syms)), syms
 
 
-def _letters_at(layout, u):
-    """(letter, boundary) of every context of ``layout`` at uniform u.
+def _letter_at(layout: Layout, i: int, u):
+    """(letter, boundary) of context i of ``layout`` at uniform u.
 
-    Below M one bisect picks the same letter for every context; above it
-    each context bisects its own remainders, and u past its total gives
-    (STAR, that total), the float boundary phase 2 stacks on.
+    Below M one bisect of the common segment picks the letter every
+    context draws; above it the context bisects its own remainders, and u
+    past its total gives (STAR, that total), the float boundary phase 2
+    stacks on.
     """
-    letters, common, rests, _ = layout
+    cum = layout.common
+    if not u < cum[-1]:
+        cum = layout.rests[i]
+    j = bisect_right(cum, u)
+    return (layout.letters[j], cum[j]) if j < len(cum) else (STAR, cum[-1])
+
+
+def _letters_at(layout: Layout, u):
+    """``_letter_at`` for every context of ``layout``; below M one bisect
+    serves them all."""
+    letters, common, rests = layout.letters, layout.common, layout.rests
     if u < common[-1]:
         i = bisect_right(common, u)
         return [(letters[i], common[i])] * len(rests)
@@ -359,21 +410,24 @@ def phase1_agreement(
     fixes a window's n̂ newest positions.
 
     Every past's trajectory reads the same n₀ uniforms, laid out at each
-    time by ``_layout`` over the live contexts, so the layout's
-    breakpoints cut [0, 1) into cells on which every trajectory's letter
-    is constant.  The walk refines the window time by time, oldest first,
-    and sums the products of cell lengths over the paths on which all
-    trajectories draw the same letter, not STAR, at each of the n̂ newest
-    times.
+    time by ``_layout`` over the live contexts, on whose cells every
+    trajectory's letter is constant.  The walk refines the window time by
+    time, oldest first, and sums the products of cell lengths over the
+    paths on which all trajectories draw the same letter, not STAR, at each
+    of the n̂ newest times.
 
-    ``layouts`` (a dict, filled in place) receives the layout of every
-    tuple of live contexts the walk visits, keyed as ``run_algorithm2``
-    keys them: the past's contexts in ``analysis.states`` order, each
-    newest letter first.  Every tuple a phase-1 run can reach is there,
-    except those past a disagreement the walk prunes at one of the n̂
-    newest times (so none when n̂ = 1).  The walk raises ExplosionGuard
-    once it has visited more than ``PHASE1_MAX_CELLS`` cells, which
-    bounds its time and the size of ``layouts``.
+    Each tuple of live contexts is laid out once, with its cells and the
+    letters its contexts agree on; a later visit follows the links of the
+    first.  The walk links every cell it goes on from to the next time's
+    layout, so the layouts form a graph from the root ``analysis.states``,
+    which a phase-1 run follows with one bisect per time.  It reaches every
+    tuple a run can reach, except past a disagreement the walk prunes at
+    one of the n̂ newest times (so none when n̂ = 1).  ``layouts`` (a dict,
+    filled in place) receives every layout, keyed by its tuple of live
+    contexts: the past's contexts in ``analysis.states`` order, each
+    newest letter first.  The walk raises ExplosionGuard once it has
+    visited more than ``PHASE1_MAX_CELLS`` cells, which bounds its time and
+    the size of ``layouts``.
     """
     nhat = analysis.order
     if layouts is None:
@@ -382,48 +436,53 @@ def phase1_agreement(
     cells = 0
 
     def walk(j, ctxs):
+        """(layout of ``ctxs`` at time j, sum over its cells)."""
         nonlocal cells
         lay = layouts.get(ctxs)
+        syms = None  # a visited layout's links give the next ones
         if lay is None:
-            lay = layouts[ctxs] = _layout(kernel, ctxs, scans)
-        _, common, rests, _ = lay
-        cuts = sorted(
-            {0.0, 1.0}
-            | {min(c, 1.0) for c in common}
-            | {min(c, 1.0) for rest in rests for c in rest}
-        )
-        cells += len(cuts) - 1
+            lay, syms = _layout(kernel, ctxs, scans)
+            layouts[ctxs] = lay
+        cells += len(lay.agreed)
         if cells > PHASE1_MAX_CELLS:
             raise ExplosionGuard(
                 f"{kernel.name}: phase-1 agreement walk visits more than "
                 f"{PHASE1_MAX_CELLS} cells (nhat = {nhat}, n0 = {n0})"
             )
+        edges = [0.0, *lay.cuts, 1.0]
         total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            syms = [sym for sym, _ in _letters_at(lay, lo)]
-            agree = syms[0] is not STAR and syms.count(syms[0]) == len(syms)
-            if j >= n0 - nhat and not agree:
+        for c, sym in enumerate(lay.agreed):
+            if j >= n0 - nhat and sym is STAR:
                 continue
             if j == n0 - 1:
-                total += hi - lo
-            else:
-                total += (hi - lo) * walk(
-                    j + 1, tuple((g,) + c for g, c in zip(syms, ctxs))
-                )
-        return total
+                total += edges[c + 1] - edges[c]
+                continue
+            nxt = (
+                lay.links[c].ctxs
+                if syms is None
+                else tuple((g,) + x for g, x in zip(syms[c], ctxs))
+            )
+            lay.links[c], below = walk(j + 1, nxt)
+            total += (edges[c + 1] - edges[c]) * below
+        return lay, total
 
-    return walk(0, tuple(analysis.states))
+    return walk(0, tuple(analysis.states))[1]
 
 
 @dataclass
 class CoalescencePlan:
-    """A kernel's resolved (n̂, n₀), coupling and phase-1 layouts.
+    """A kernel's resolved (n̂, n₀), coupling and phase-1 cell graph.
 
-    ``layouts`` is the live-contexts -> ``_layout`` dict that
-    ``phase1_agreement`` filled while ``make_plan`` walked the window;
-    ``run_algorithm2``'s shared phase 1 reads its picks from it and never
-    writes to it, so it is bounded by that walk's cell budget and shared
-    by every run (and by copies made with ``dataclasses.replace``).
+    ``layouts`` is the live-contexts -> ``Layout`` dict that
+    ``phase1_agreement`` filled while ``make_plan`` walked the window.
+    Each layout carries its cells, the letter its contexts agree on in
+    each, and links to the next time's layouts, so the graph runs from
+    the root ``layouts[analysis.states]``.  ``run_algorithm2``'s shared
+    phase 1 follows those links from the root and never writes to the
+    graph, so it is bounded by that walk's cell budget and shared by every
+    run (and by copies made with ``dataclasses.replace``).  ``pairs`` holds
+    the ordered letter pairs (newer, older) that ``admissible_window``
+    accepts, against which runs check the letters they write.
     """
 
     nhat: int
@@ -432,6 +491,7 @@ class CoalescencePlan:
     index: dict  # window in C -> past_id for the per-past uniform streams
     agreement: float  # phase1_agreement under the shared coupling
     shared: bool  # phase 1 reads one uniform per time for every past
+    pairs: frozenset  # admissible (newer, older) letter pairs
     layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -451,13 +511,15 @@ def make_plan(
 ) -> CoalescencePlan:
     """Plan for a resolved (n̂ analysis, n₀): shared uniforms whenever they
     can make phase 1 agree, per-past streams otherwise.  The plan keeps
-    the phase-1 layouts its agreement walk built, which that walk's
-    ExplosionGuard budget bounds.  n₀ must be at least n̂, so that a
-    window's left context lies in the next-older window alone."""
+    the phase-1 cell graph its agreement walk built, which that walk's
+    ExplosionGuard budget bounds, and the admissible letter pairs.  n₀
+    must be at least n̂, so that a window's left context lies in the
+    next-older window alone."""
     if n0 < analysis.order:
         raise ValueError(f"n0 = {n0} is below the order n̂ = {analysis.order}")
     layouts: dict = {}
     agreement = phase1_agreement(kernel, analysis, n0, layouts)
+    letters = kernel.alphabet
     return CoalescencePlan(
         nhat=analysis.order,
         n0=n0,
@@ -465,6 +527,9 @@ def make_plan(
         index={w: i for i, w in enumerate(analysis.states)},
         agreement=agreement,
         shared=agreement > 0.0,
+        pairs=frozenset(
+            w for w in product(letters, letters) if kernel.admissible_window(w)
+        ),
         layouts=layouts,
     )
 
@@ -505,7 +570,7 @@ def run_algorithm2(
 
     The plan fixes the coupling.  Under the shared one (``plan.shared``)
     phase 1 reads one uniform per time, ``uniforms(t, None)``, for every
-    past and picks each past's letter from the multigamma ``_layout`` of
+    past and picks each past's letter from the multigamma ``Layout`` of
     the live contexts: the mass they all share first, then each
     context's remainder, then STAR.  Phase 2 re-reads that same value.
     Otherwise every past reads its own stream ``uniforms(t, past_id)``
@@ -534,12 +599,19 @@ def run_algorithm2(
     and independent across windows) takes its place, and the plan falls
     back to per-past streams where it is 0.
 
-    Shared phase 1 reads each tuple of live contexts' layout from
-    ``plan.layouts``, which the plan's agreement walk filled and no run
-    writes, so the plan must be this kernel's own.  A tuple that walk
-    pruned (possible only when n̂ >= 2) is laid out into a dict of this
-    run's own, dropped when the run returns, as are per-past phase 1's
-    ``_table`` scans.
+    Shared phase 1 follows the plan's cell graph, which the plan's
+    agreement walk built and no run writes, so the plan must be this
+    kernel's own.  It starts each window at the root layout; at each time
+    one bisect finds u's cell, whose agreed letter phase 1 writes, and the
+    cell's link gives the next time's layout.  The window keeps the
+    layout of each time, and its first phase-2 sweep reads b's letter,
+    boundary, context and masses from them.  Within a cell every bisect
+    of the layout's own arrays counts the same breakpoints, so this reads
+    exactly what laying out the live contexts at each time would.  A cell
+    without a link (one the walk pruned, possible only when n̂ >= 2, or
+    any cell of a plan without layouts) leads to a tuple laid out into a
+    dict of this run's own, dropped when the run returns, as are per-past
+    phase 1's ``_table`` scans.
 
     Phase 2 re-reads an open time t against what it last scanned: t keeps
     the threshold, window and masses of its last scan, and a sweep stacks
@@ -578,9 +650,8 @@ def run_algorithm2(
         plan = prepare_coalescence(kernel)
     if uniforms is None:
         uniforms = keyed_uniforms(key)
-    nhat, n0, shared = plan.nhat, plan.n0, plan.shared
+    nhat, n0, shared, pairs = plan.nhat, plan.n0, plan.shared, plan.pairs
     horizon = kernel.closed_forms.get("exact_horizon")
-    admissible = kernel.admissible_window
     C = plan.analysis.states
     idx = plan.index  # C[i] -> i: the past ids of the per-past streams
 
@@ -594,11 +665,12 @@ def run_algorithm2(
     last: dict = {}  # open time -> (threshold, window, masses) of its last scan
     ucache: dict = {}
     ttil: dict = {}
-    # window z -> [{time: (symbol, boundary, context, masses)} per past
-    # id], kept until the window's first phase-2 sweep
+    # window z -> its phase-1 record, kept until its first phase-2 sweep:
+    # the layout of each time under the shared coupling, else
+    # [{time: (symbol, boundary, context, masses)} per past id]
     traj: dict = {}
-    known = plan.layouts  # live contexts -> their _layout, read only
-    local: dict = {}  # pruned layouts or per-past tables, this run only
+    local: dict = {}  # unlinked layouts or per-past tables, this run only
+    scans: dict = {}  # the _table scans of this run's own layouts
     unresolved: dict = {}  # open window z -> count of its STAR positions
     b_ready: dict = {}  # window z -> its completed left context
     targets_left = k + 1
@@ -635,11 +707,17 @@ def run_algorithm2(
                 )
             b_ready[z] = b
 
+    def _laid_out(ctxs):
+        lay = local.get(ctxs)
+        if lay is None:
+            lay = local[ctxs] = _layout(kernel, ctxs, scans)[0]
+        return lay
+
     def _set_letter(t, sym, tt):
         newer = temp.get(t + 1, STAR)
         older = temp.get(t - 1, STAR)
-        if (newer is not STAR and not admissible((newer, sym))) or (
-            older is not STAR and not admissible((sym, older))
+        if (newer is not STAR and (newer, sym) not in pairs) or (
+            older is not STAR and (sym, older) not in pairs
         ):
             raise KernelContractViolation(
                 f"{kernel.name}: letter {sym!r} at time {t} makes an "
@@ -660,6 +738,7 @@ def run_algorithm2(
             j -= 1
         return tuple(out)
 
+    root = (plan.layouts.get(C) or _laid_out(C)) if shared else None
     n = 0
     while True:
         if n > max_rounds:
@@ -674,18 +753,29 @@ def run_algorithm2(
         lo, hi = l(n), r(n)
 
         # phase 1: coupled trajectories through the fresh window z = n
-        tvals = [{} for _ in C]
+        unresolved[n] = n0
         if shared:
-            ctxs = C
+            lays = traj[n] = []
+            lay = root
             for t in range(lo, hi + 1):
-                lay = known.get(ctxs) or local.get(ctxs)
-                if lay is None:
-                    lay = local[ctxs] = _layout(kernel, ctxs, {})
-                picks = _letters_at(lay, _u(t, None))
-                for tv, (sym, acc), ctx, masses in zip(tvals, picks, ctxs, lay[3]):
-                    tv[t] = (sym, acc, ctx, masses)
-                ctxs = tuple((sym,) + c for (sym, _), c in zip(picks, ctxs))
+                u = _u(t, None)
+                c = bisect_right(lay.cuts, u)
+                lays.append(lay)
+                sym = lay.agreed[c]
+                if sym is STAR:
+                    temp[t] = STAR
+                else:
+                    _set_letter(t, sym, -n)
+                if t < hi:
+                    nxt = lay.links[c]
+                    if nxt is None:
+                        picks = _letters_at(lay, u)
+                        nxt = _laid_out(
+                            tuple((g,) + x for (g, _), x in zip(picks, lay.ctxs))
+                        )
+                    lay = nxt
         else:
+            tvals = traj[n] = [{} for _ in C]
             for pid, (tv, ctx) in enumerate(zip(tvals, C)):
                 for t in range(lo, hi + 1):
                     tab = local.get(ctx)
@@ -694,14 +784,12 @@ def run_algorithm2(
                     sym, acc = _pick(tab, _u(t, pid))
                     tv[t] = (sym, acc, ctx, tab[2])
                     ctx = (sym,) + ctx
-        traj[n] = tvals
-        unresolved[n] = n0
-        for t in range(lo, hi + 1):
-            syms = {tv[t][0] for tv in tvals}
-            if len(syms) == 1 and STAR not in syms:
-                _set_letter(t, syms.pop(), -n)
-            else:
-                temp[t] = STAR
+            for t in range(lo, hi + 1):
+                syms = {tv[t][0] for tv in tvals}
+                if len(syms) == 1 and STAR not in syms:
+                    _set_letter(t, syms.pop(), -n)
+                else:
+                    temp[t] = STAR
 
         # phase 2: one pass, oldest window first, if phase 1 fixed a letter;
         # a window resolved earlier in the pass, or whose left context is
@@ -718,9 +806,15 @@ def run_algorithm2(
                 # merge only failed because another past disagreed), and each
                 # of its STAR times opens on the boundary, context and masses
                 # of b's phase-1 scan
-                for t, (sym, acc, ctx, masses) in tz[pid].items():
+                for i, t in enumerate(range(l(z), r(z) + 1)):
                     if temp[t] is not STAR:
                         continue
+                    if shared:
+                        lay = tz[i]
+                        sym, acc = _letter_at(lay, pid, _u(t, None))
+                        ctx, masses = lay.ctxs[pid], lay.masses[pid]
+                    else:
+                        sym, acc, ctx, masses = tz[pid][t]
                     if sym is STAR:
                         # a copy: the plan's layouts share these masses
                         last[t] = (acc, ctx, dict(masses))

@@ -119,7 +119,9 @@ def _table(kernel: KernelSpec, w: Window, stop: float = math.inf):
     next letter.  A finite ``stop`` ends the scan at the first cumulative
     mass above it: the cumulative and by-letter masses then stop at that
     letter, and ``_pick`` at ``stop`` reads the prefix as it would the
-    whole table.
+    whole table.  A scan that reaches the last letter checks that the
+    total beta(w) is at most 1 + TOL (a scan stopped below 1 cannot
+    exceed it); the check is a raise, so it still runs under ``python -O``.
     """
     letters = tuple(kernel.letters_for(w))
     cum = []
@@ -135,6 +137,11 @@ def _table(kernel: KernelSpec, w: Window, stop: float = math.inf):
         cum.append(acc)
         if stop < acc:
             break
+    else:
+        if acc > 1.0 + TOL:
+            raise KernelContractViolation(
+                f"{kernel.name}: beta({w!r}) = {acc} exceeds 1"
+            )
     return letters, cum, masses
 
 
@@ -169,7 +176,9 @@ def _stack(
     sub-TOL noise is clamped to zero so totals never decrease.  Returns
     (symbol, total, masses of w_new by letter, letters of w_new), the
     masses complete when the symbol is STAR; the letters are
-    ``positive_letters(w_new)``, or the alphabet when it is finite.
+    ``positive_letters(w_new)``, or the alphabet when it is finite.  A
+    STAR total is at most u < 1, so unlike ``_table``'s full scan this
+    scan has no beta(w) <= 1 + TOL check to make.
     """
     if kernel.alphabet is not None:
         letters = new_letters = kernel.alphabet
@@ -345,11 +354,16 @@ def validate_kernel(kernel: KernelSpec, trials: int, rng_seed: int) -> Validatio
             if a < -TOL:
                 rep.violations.append(f"alpha({g!r}|{cw!r}) = {a} < 0")
             total += a
-        b = kernel.beta(cw)
-        if abs(total - b) > TOL:
-            rep.violations.append(f"sum alpha {total} != beta {b} at {cw!r}")
-        if b > 1.0 + TOL:
-            rep.violations.append(f"beta({cw!r}) = {b} > 1")
+        try:
+            b = kernel.beta(cw)
+        except KernelContractViolation as exc:  # the default beta's full scan
+            rep.violations.append(str(exc))
+            b = total
+        else:
+            if abs(total - b) > TOL:
+                rep.violations.append(f"sum alpha {total} != beta {b} at {cw!r}")
+            if b > 1.0 + TOL:
+                rep.violations.append(f"beta({cw!r}) = {b} > 1")
 
         for g in probe:
             a0 = kernel.alpha(g, w)

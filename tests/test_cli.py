@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from perfectsim import build_kernel, cli, prepare_coalescence
+from perfectsim import (
+    StreamKey,
+    build_kernel,
+    cli,
+    prepare_coalescence,
+    run_algorithm2,
+)
+from perfectsim.backward import MaxRoundsExceeded
 
 
 def _run(*argv):
@@ -286,6 +293,45 @@ def test_round_budget_exhaustion_maps_to_exit_4(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "budget-exceeded"
     assert payload["type"] == "MaxRoundsExceeded"
+
+
+def test_budget_exhaustion_names_the_draw_that_ran_out(tmp_path, capsys):
+    # the first replication whose draw passes the cap, found through the
+    # library at seed 2 and the CLI's default kernel parameters
+    kern = build_kernel("cyclic4", {})
+    plan = prepare_coalescence(kern)
+    for rep in range(200):
+        try:
+            run_algorithm2(kern, 0, StreamKey(2, rep), max_rounds=3, plan=plan)
+        except MaxRoundsExceeded as exc:
+            message, rounds = str(exc), exc.tableau.round
+            break
+    assert rep > 0  # earlier replications completed
+    rc = _run(
+        "sample",
+        "--kernel",
+        "cyclic4",
+        "--algo",
+        "algo2",
+        "--reps",
+        "200",
+        "--max-rounds",
+        "3",
+        "--seed",
+        "2",
+        "--out",
+        str(tmp_path / "c4"),
+    )
+    assert rc == 4
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {
+        "error": "budget-exceeded",
+        "type": "MaxRoundsExceeded",
+        "message": message,
+        "replication": rep,
+        "rounds": rounds,
+    }
+    assert rounds == 3
 
 
 def test_shared_budget_exhaustion_gives_the_expected_wait(tmp_path, capsys):

@@ -159,6 +159,32 @@ def test_window_zero_stopping_law_is_the_plans_agreement(name):
     assert shared_exact == pytest.approx(plan.agreement, rel=0, abs=1e-12)
 
 
+# plan.agreement bit for bit, as the walk summed it before its layouts
+# carried their cells and links; "path:7 geometric:0.5" is the largest
+# planned walk, 96 306 cells
+AGREEMENTS = {
+    "geometric:0.4": "0x1.eb851eb851eb6p-3",
+    "geometric:0.5": "0x1.5555555555554p-3",
+    "list:0.5,0.3,0.2": "0x1.5555555555554p-3",
+    "path:3": "0x1.8cccccccccccbp-2",
+    "path:5": "0x1.471c71c71c71ap-5",
+    "path:7": "0x1.6f75c7f43368ep-10",
+    "cycle:5": "0x1.c71c71c71c71bp-5",
+    "three-letter-alternating": "0x1.0000000000000p-1",
+    "mirrored": "0x1.999999999999ap-1",
+    "path:7 geometric:0.5": "0x1.5c5339f140432p-10",
+}
+
+
+@pytest.mark.parametrize("name", list(AGREEMENTS))
+def test_agreement_walk_sums_the_same_floats(name):
+    if name in KERNELS:
+        kern = _kernel(name)
+    else:
+        kern = _graph_walk(*name.split())
+    assert prepare_coalescence(kern).agreement.hex() == AGREEMENTS[name]
+
+
 # the per-past law, P(rounds_used = 0) under independent streams, is
 # enumerated on the kernels whose per-past paths stay few
 PER_PAST_LAWS = [("geometric:0.4", 0.003981), ("list:0.5,0.3,0.2", 0.002724)]
@@ -278,6 +304,62 @@ def test_shared_draws_on_cycle5_are_uniform():
     plan = prepare_coalescence(kern)
     assert plan.shared
     _check_walk_draws(kern, plan, (1 / 5,) * 5, 3000, 53)
+
+
+def _stopped_law(name, rounds):
+    """(P(X_0 = a, stopped within ``rounds``) by letter a, P(cut), paths)
+    of a k = 0 draw on ``KERNELS[name]``'s shared plan, by enumeration."""
+    kern = _kernel(name)
+    plan = _plan(kern, True)
+
+    def newest(us):
+        try:
+            xs, _ = run_algorithm2(
+                kern, 0, StreamKey(0), max_rounds=rounds, plan=plan, uniforms=us
+            )
+        except MaxRoundsExceeded:
+            return None
+        return xs[0]
+
+    law = dict.fromkeys(kern.alphabet, 0.0)
+    cut = 0.0
+    paths = 0
+    for prob, x in enumerate_paths(newest):
+        paths += 1
+        if x is None:
+            cut += prob
+        else:
+            law[x] += prob
+    return law, cut, paths
+
+
+# (kernel, round cap, decision paths the enumeration walks)
+BRACKETS = [
+    ("path:3", 0, 21),
+    ("path:3", 1, 286),
+    ("path:3", 2, 4139),
+    ("geometric:0.4", 0, 37),
+    ("geometric:0.4", 1, 1153),
+]
+
+
+@pytest.mark.parametrize("name,rounds,paths", BRACKETS)
+def test_partial_stopped_law_brackets_the_stationary_law(name, rounds, paths):
+    # an exact, not a statistical, check: the mass of draws that stop
+    # within the cap with X_0 = a can only grow towards pi(a), and what the
+    # cap cut off covers the rest
+    kern = _kernel(name)
+    if name == "path:3":
+        pi = _stationary_windows(kern, 3)
+        x0 = {a: sum(p for w, p in pi.items() if w[0] == a) for a in kern.alphabet}
+    else:
+        x0 = dict.fromkeys(kern.alphabet, 0.25)  # rotating cyclic4 maps it to itself
+    law, cut, n = _stopped_law(name, rounds)
+    assert n == paths
+    assert sum(law.values()) + cut == pytest.approx(1.0, rel=0, abs=1e-12)
+    for a, p in x0.items():
+        assert law[a] <= p + 1e-12, (a, law[a], p)
+        assert p <= law[a] + cut + 1e-12, (a, law[a], cut, p)
 
 
 def _pairs(kernel, route, n, seed):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import perfectsim
+from perfectsim import StreamKey, run_algorithm1
 from perfectsim.backward import prepare_backward
+from perfectsim.coalescence import prepare_coalescence
 from perfectsim.gallery import (
     GALLERY,
     build_kernel,
@@ -152,6 +154,100 @@ def test_nan_letter_mass_check_runs_under_python_O(tmp_path):
         ["run_algorithm1", "tripped:"],
     ], out.stdout
     assert all("alpha(1|()) = nan outside [0,1]" in line for line in lines), out.stdout
+
+
+def _over_unit(fold):
+    """Two letters of mass 0.6 on every window, so beta = 1.2: with a zero
+    ``additive_weight`` hook route 1 takes the fold step, without it the
+    scan step."""
+    forms = {"additive_weight": lambda g, lag, x: 0.0} if fold else {}
+    return KernelSpec("over-unit", {}, (0, 1), lambda g, w: 0.6, closed_forms=forms)
+
+
+def _over_on_known_windows():
+    """beta = 0.6 on the empty window and 1.8 on every other one."""
+    return KernelSpec("over", {}, (0, 1), lambda g, w: 0.9 if canon(w) else 0.3)
+
+
+def test_full_scan_rejects_a_total_mass_over_one():
+    over = _over_unit(False)
+    with pytest.raises(KernelContractViolation, match=r"beta\(\(\)\) = 1.2 exceeds 1"):
+        _table(over, ())
+    with pytest.raises(KernelContractViolation, match="exceeds 1"):
+        over.beta((1,))
+    # a scan that ends at its letter reads part of the total and is not checked
+    assert _table(over, (), 0.3)[1] == [0.6]
+    assert sample_symbol(over, 0.9, ()) == 1
+
+
+def test_validator_reports_a_total_mass_over_one():
+    # the default beta's full scan raises; the audit records it and goes on
+    report = validate_kernel(_over_unit(False), trials=20, rng_seed=1)
+    assert report.checks_run == 20
+    assert report.violations
+    assert all(v.endswith("= 1.2 exceeds 1") for v in report.violations)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["scan-step", "fold-step"])
+def test_spontaneous_runs_reject_a_total_mass_over_one(fold):
+    # every round opens on the empty window's full scan, whichever step
+    # re-reads the open times
+    kern = _over_unit(fold)
+    with pytest.raises(KernelContractViolation, match="exceeds 1"):
+        run_algorithm1(kern, 0, StreamKey(0))
+    with pytest.raises(KernelContractViolation, match="exceeds 1"):
+        prepare_backward(kern)
+
+
+def test_coupled_plans_reject_a_total_mass_over_one():
+    # beta(empty) = 0.6 passes, but the order-1 chain scans every known
+    # window in full
+    with pytest.raises(KernelContractViolation, match=r"beta\(\(0,\)\) = 1.8"):
+        prepare_coalescence(_over_on_known_windows())
+
+
+_OVER_UNIT = textwrap.dedent(
+    """
+    from perfectsim import StreamKey, run_algorithm1
+    from perfectsim.coalescence import prepare_coalescence
+    from perfectsim.kernels import KernelContractViolation, KernelSpec, canon
+
+    assert not __debug__
+    forms = {"additive_weight": lambda g, lag, x: 0.0}
+    scan = KernelSpec("over-unit", {}, (0, 1), lambda g, w: 0.6)
+    fold = KernelSpec("over-unit", {}, (0, 1), lambda g, w: 0.6, closed_forms=forms)
+    known = KernelSpec("over", {}, (0, 1), lambda g, w: 0.9 if canon(w) else 0.3)
+    for name, call in (
+        ("scan-step", lambda: run_algorithm1(scan, 0, StreamKey(0))),
+        ("fold-step", lambda: run_algorithm1(fold, 0, StreamKey(0))),
+        ("coupled-plan", lambda: prepare_coalescence(known)),
+    ):
+        try:
+            call()
+        except KernelContractViolation as e:
+            print(name, "tripped:", e)
+        else:
+            print(name, "never tripped")
+    """
+)
+
+
+def test_total_mass_check_runs_under_python_O(tmp_path):
+    src = os.path.dirname(os.path.dirname(perfectsim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OVER_UNIT],
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "scan-step tripped: over-unit: beta(()) = 1.2 exceeds 1",
+        "fold-step tripped: over-unit: beta(()) = 1.2 exceeds 1",
+        "coupled-plan tripped: over: beta((0,)) = 1.8 exceeds 1",
+    ], out.stdout
 
 
 def test_trailing_stars_never_change_the_scan():

@@ -384,58 +384,91 @@ def _batch(kern, plan_for, k, seed, reps):
     return out
 
 
+def _order2_cyclic4():
+    """cyclic4 planned at n̂ = 2, n₀ = 3: the agreement walk prunes the
+    disagreeing cells of the middle time, so runs lay out the tuples past
+    them on their own."""
+    kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
+    return kern, make_plan(kern, build_markov_analysis(kern, 2), 3)
+
+
+def _graph(plan):
+    """Every layout of the plan by identity, with its cells, agreed
+    letters, links (by identity) and masses (by value)."""
+    return {
+        ctxs: (
+            id(lay),
+            lay.cuts.tobytes(),
+            lay.agreed,
+            [None if nxt is None else id(nxt) for nxt in lay.links],
+            [dict(m) for m in lay.masses],
+        )
+        for ctxs, lay in plan.layouts.items()
+    }
+
+
 @pytest.mark.parametrize(
-    "kern,shared,k,reps",
+    "kern,plan,shared,k,reps",
     [
-        (build_kernel("cyclic4", {"theta": "geometric:0.4"}), True, 2, 30),
-        (_path5("list:0.5,0.3,0.2"), True, 1, 20),
-        (_mirrored(), False, 3, 30),
+        (build_kernel("cyclic4", {"theta": "geometric:0.4"}), None, True, 2, 30),
+        (_path5("list:0.5,0.3,0.2"), None, True, 1, 20),
+        (*_order2_cyclic4(), True, 2, 30),
+        (_mirrored(), None, False, 3, 30),
     ],
-    ids=["cyclic4-shared", "path5-shared", "mirrored-per-past"],
+    ids=[
+        "cyclic4-shared",
+        "path5-shared",
+        "cyclic4-order2-shared",
+        "mirrored-per-past",
+    ],
 )
-def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, shared, k, reps):
-    # every run reads the plan's phase-1 layouts and none writes to them:
-    # a batch on one plan decides exactly what the same draws decide on a
-    # plan built afresh for each, or on a plan holding every other layout,
-    # whose runs lay the rest out into dicts of their own
+def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, plan, shared, k, reps):
+    # every run follows the plan's cell graph and none writes to it: a
+    # batch on one plan decides exactly what the same draws decide on a
+    # plan built afresh for each, or on a plan without layouts, whose runs
+    # lay every tuple out into dicts of their own
     def fresh_plan():
         return dataclasses.replace(
             make_plan(kern, plan.analysis, plan.n0), shared=shared
         )
 
-    plan = dataclasses.replace(prepare_coalescence(kern), shared=shared)
-    layouts = dict(plan.layouts)
-    masses = {c: [dict(m) for m in lay[3]] for c, lay in layouts.items()}
-    half = dataclasses.replace(
-        plan, layouts=dict(itertools.islice(layouts.items(), 0, None, 2))
-    )
-    half_keys = set(half.layouts)
+    plan = dataclasses.replace(plan or prepare_coalescence(kern), shared=shared)
+    before = _graph(plan)
+    linked = {i for *_, links, _ in before.values() for i in links} - {None}
+    assert linked <= {i for i, *_ in before.values()}  # the graph is closed
+    bare = dataclasses.replace(plan, layouts={})
     one = _batch(kern, lambda: plan, k, 12, reps)
     fresh = _batch(kern, fresh_plan, k, 12, reps)
-    mixed = _batch(kern, lambda: half, k, 12, reps)
-    assert one == fresh == mixed
-    assert plan.layouts.keys() == layouts.keys() and set(half.layouts) == half_keys
-    assert all(plan.layouts[c] is lay for c, lay in layouts.items())
-    assert {c: lay[3] for c, lay in plan.layouts.items()} == masses
+    none = _batch(kern, lambda: bare, k, 12, reps)
+    assert one == fresh == none
+    assert _graph(plan) == before and bare.layouts == {}
 
 
 def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
-    # the agreement walk reaches every tuple of live phase-1 contexts on
-    # cyclic4, so once the plan exists a batch of draws lays none out
+    # the agreement walk links every cell of the window on cyclic4, so once
+    # the plan exists a batch of draws follows links: it lays no tuple out
+    # and reads no past's letters but b's
     kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
     plan = prepare_coalescence(kern)
-    calls = []
-    layout = coalescence._layout
+    calls = {"_layout": 0, "_letters_at": 0}
+    for name in calls:
 
-    def counted(kernel, ctxs, *args):
-        calls.append(ctxs)
-        return layout(kernel, ctxs, *args)
+        def counted(*args, _f=getattr(coalescence, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
 
-    monkeypatch.setattr(coalescence, "_layout", counted)
+        monkeypatch.setattr(coalescence, name, counted)
     _batch(kern, lambda: plan, 0, 1, 40)
-    assert calls == []
+    assert calls == {"_layout": 0, "_letters_at": 0}
+    # a plan without layouts lays out the root at least
     _batch(kern, lambda: dataclasses.replace(plan, layouts={}), 0, 1, 1)
-    assert calls  # the counter sees the layouts a plan without them needs
+    assert calls["_layout"] > 0
+    # past a pruned cell a run reads every past's letters to lay out the
+    # next tuple itself
+    kern2, pruned = _order2_cyclic4()
+    calls.update(dict.fromkeys(calls, 0))
+    _batch(kern2, lambda: pruned, 2, 12, 30)
+    assert calls["_layout"] > 0 and calls["_letters_at"] > 0
 
 
 def _alpha_calls(kern, shared, k, reps):
