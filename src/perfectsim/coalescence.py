@@ -195,7 +195,8 @@ def build_markov_analysis(kernel: KernelSpec, n: int) -> MarkovAnalysis:
     if not states:
         raise AssumptionViolated(f"{kernel.name}: no admissible windows at order {n}")
 
-    betas = {w: kernel.beta(w) for w in states}
+    tables = {w: _table(kernel, w) for w in states}  # beta(w) is the total
+    betas = {w: tab[1][-1] for w, tab in tables.items()}
     beta_n = min(betas.values())
     if beta_n <= 0.0:
         witness = min(states, key=lambda w: betas[w])
@@ -207,8 +208,7 @@ def build_markov_analysis(kernel: KernelSpec, n: int) -> MarkovAnalysis:
     for w in states:
         row = {}
         out = []
-        for g in kernel.alphabet:
-            a = kernel.alpha(g, w)
+        for g, a in tables[w][2].items():
             row[g] = a / betas[w]
             if a > 0.0:
                 w2 = _shift(w, g)
@@ -294,10 +294,11 @@ def compute_n0(analysis: MarkovAnalysis, m_max: int = 64) -> int:
 
 
 # cells phase1_agreement may visit before it gives up, counting a tuple
-# of live contexts again at each visit: graph-walk path:7 with
-# geometric:0.5 weights (n₀ = 6), the largest planned walk, visits 96 306
-# and keeps 14 217 layouts; path:8 passes the budget, as each further
-# vertex multiplies the count by about 7
+# of live contexts again at each visit, and the cells past a disagreement
+# at the n̂ newest times too (so n̂ >= 2 walks reach it sooner): graph-walk
+# path:7 with geometric:0.5 weights (n̂ = 1, n₀ = 6), the largest planned
+# walk, visits 96 306 and keeps 14 217 layouts; path:8 passes the budget,
+# as each further vertex multiplies the count by about 7
 PHASE1_MAX_CELLS = 200_000
 
 
@@ -319,7 +320,7 @@ class Layout(NamedTuple):
     constant on a cell.  ``agreed[c]`` is the letter every context draws
     on cell c, or STAR when they differ or one draws STAR; ``links[c]`` is
     the layout of the next time's live contexts after cell c's letters,
-    where the plan's agreement walk went on from cell c, else None.
+    None at a window's last time.
     """
 
     letters: tuple
@@ -363,7 +364,7 @@ def _layout(kernel: KernelSpec, ctxs: tuple, scans: dict):
         | {min(c, 1.0) for rest in rests for c in rest}
     )
     lay = Layout(letters, common, rests, masses, ctxs, array("d", cuts[1:-1]), (), ())
-    syms = [[g for g, _ in _letters_at(lay, lo)] for lo in cuts[:-1]]
+    syms = [[_letter_at(lay, i, lo)[0] for i in range(len(ctxs))] for lo in cuts[:-1]]
     agreed = tuple(
         s[0] if s[0] is not STAR and s.count(s[0]) == len(s) else STAR
         for s in syms
@@ -386,20 +387,6 @@ def _letter_at(layout: Layout, i: int, u):
     return (layout.letters[j], cum[j]) if j < len(cum) else (STAR, cum[-1])
 
 
-def _letters_at(layout: Layout, u):
-    """``_letter_at`` for every context of ``layout``; below M one bisect
-    serves them all."""
-    letters, common, rests = layout.letters, layout.common, layout.rests
-    if u < common[-1]:
-        i = bisect_right(common, u)
-        return [(letters[i], common[i])] * len(rests)
-    out = []
-    for rest in rests:
-        i = bisect_right(rest, u)
-        out.append((letters[i], rest[i]) if i < len(rest) else (STAR, rest[-1]))
-    return out
-
-
 def phase1_agreement(
     kernel: KernelSpec,
     analysis: MarkovAnalysis,
@@ -418,12 +405,12 @@ def phase1_agreement(
 
     Each tuple of live contexts is laid out once, with its cells and the
     letters its contexts agree on; a later visit follows the links of the
-    first.  The walk links every cell it goes on from to the next time's
-    layout, so the layouts form a graph from the root ``analysis.states``,
-    which a phase-1 run follows with one bisect per time.  It reaches every
-    tuple a run can reach, except past a disagreement the walk prunes at
-    one of the n̂ newest times (so none when n̂ = 1).  ``layouts`` (a dict,
-    filled in place) receives every layout, keyed by its tuple of live
+    first.  The walk goes on from every cell but those of the window's
+    last time, past a disagreement too (whose paths add nothing), and
+    links it to the next time's layout, so the layouts form a graph from
+    the root ``analysis.states`` that holds every tuple a run can reach,
+    which a phase-1 run follows with one bisect per time.  ``layouts`` (a
+    dict, filled in place) receives every layout, keyed by its tuple of live
     contexts: the past's contexts in ``analysis.states`` order, each
     newest letter first.  The walk raises ExplosionGuard once it has
     visited more than ``PHASE1_MAX_CELLS`` cells, which bounds its time and
@@ -452,10 +439,10 @@ def phase1_agreement(
         edges = [0.0, *lay.cuts, 1.0]
         total = 0.0
         for c, sym in enumerate(lay.agreed):
-            if j >= n0 - nhat and sym is STAR:
-                continue
+            adds = j < n0 - nhat or sym is not STAR
             if j == n0 - 1:
-                total += edges[c + 1] - edges[c]
+                if adds:
+                    total += edges[c + 1] - edges[c]
                 continue
             nxt = (
                 lay.links[c].ctxs
@@ -463,7 +450,8 @@ def phase1_agreement(
                 else tuple((g,) + x for g, x in zip(syms[c], ctxs))
             )
             lay.links[c], below = walk(j + 1, nxt)
-            total += (edges[c + 1] - edges[c]) * below
+            if adds:
+                total += (edges[c + 1] - edges[c]) * below
         return lay, total
 
     return walk(0, tuple(analysis.states))[1]
@@ -473,12 +461,11 @@ def phase1_agreement(
 class CoalescencePlan:
     """A kernel's resolved (n̂, n₀), coupling and phase-1 cell graph.
 
-    ``layouts`` is the live-contexts -> ``Layout`` dict that
-    ``phase1_agreement`` filled while ``make_plan`` walked the window.
+    ``root`` is the first time's ``Layout`` of the graph that
+    ``phase1_agreement`` built while ``make_plan`` walked the window.
     Each layout carries its cells, the letter its contexts agree on in
-    each, and links to the next time's layouts, so the graph runs from
-    the root ``layouts[analysis.states]``.  ``run_algorithm2``'s shared
-    phase 1 follows those links from the root and never writes to the
+    each, and links to the next time's layouts.  ``run_algorithm2``'s
+    shared phase 1 follows those links from the root and never writes to the
     graph, so it is bounded by that walk's cell budget and shared by every
     run (and by copies made with ``dataclasses.replace``).  ``pairs`` holds
     the ordered letter pairs (newer, older) that ``admissible_window``
@@ -492,7 +479,7 @@ class CoalescencePlan:
     agreement: float  # phase1_agreement under the shared coupling
     shared: bool  # phase 1 reads one uniform per time for every past
     pairs: frozenset  # admissible (newer, older) letter pairs
-    layouts: dict = field(default_factory=dict, compare=False, repr=False)
+    root: Layout = field(compare=False, repr=False)
 
     @property
     def coupling(self) -> str:
@@ -530,7 +517,7 @@ def make_plan(
         pairs=frozenset(
             w for w in product(letters, letters) if kernel.admissible_window(w)
         ),
-        layouts=layouts,
+        root=layouts[analysis.states],
     )
 
 
@@ -607,11 +594,9 @@ def run_algorithm2(
     layout of each time, and its first phase-2 sweep reads b's letter,
     boundary, context and masses from them.  Within a cell every bisect
     of the layout's own arrays counts the same breakpoints, so this reads
-    exactly what laying out the live contexts at each time would.  A cell
-    without a link (one the walk pruned, possible only when n̂ >= 2, or
-    any cell of a plan without layouts) leads to a tuple laid out into a
-    dict of this run's own, dropped when the run returns, as are per-past
-    phase 1's ``_table`` scans.
+    exactly what laying out the live contexts at each time would.  The
+    walk links every cell a run can reach, so no run lays contexts out;
+    per-past phase 1's ``_table`` scans are this run's own.
 
     Phase 2 re-reads an open time t against what it last scanned: t keeps
     the threshold, window and masses of its last scan, and a sweep stacks
@@ -669,8 +654,7 @@ def run_algorithm2(
     # the layout of each time under the shared coupling, else
     # [{time: (symbol, boundary, context, masses)} per past id]
     traj: dict = {}
-    local: dict = {}  # unlinked layouts or per-past tables, this run only
-    scans: dict = {}  # the _table scans of this run's own layouts
+    local: dict = {}  # per-past phase 1's tables, this run only
     unresolved: dict = {}  # open window z -> count of its STAR positions
     b_ready: dict = {}  # window z -> its completed left context
     targets_left = k + 1
@@ -707,12 +691,6 @@ def run_algorithm2(
                 )
             b_ready[z] = b
 
-    def _laid_out(ctxs):
-        lay = local.get(ctxs)
-        if lay is None:
-            lay = local[ctxs] = _layout(kernel, ctxs, scans)[0]
-        return lay
-
     def _set_letter(t, sym, tt):
         newer = temp.get(t + 1, STAR)
         older = temp.get(t - 1, STAR)
@@ -738,7 +716,6 @@ def run_algorithm2(
             j -= 1
         return tuple(out)
 
-    root = (plan.layouts.get(C) or _laid_out(C)) if shared else None
     n = 0
     while True:
         if n > max_rounds:
@@ -756,24 +733,16 @@ def run_algorithm2(
         unresolved[n] = n0
         if shared:
             lays = traj[n] = []
-            lay = root
+            lay = plan.root
             for t in range(lo, hi + 1):
-                u = _u(t, None)
-                c = bisect_right(lay.cuts, u)
+                c = bisect_right(lay.cuts, _u(t, None))
                 lays.append(lay)
                 sym = lay.agreed[c]
                 if sym is STAR:
                     temp[t] = STAR
                 else:
                     _set_letter(t, sym, -n)
-                if t < hi:
-                    nxt = lay.links[c]
-                    if nxt is None:
-                        picks = _letters_at(lay, u)
-                        nxt = _laid_out(
-                            tuple((g,) + x for (g, _), x in zip(picks, lay.ctxs))
-                        )
-                    lay = nxt
+                lay = lay.links[c]
         else:
             tvals = traj[n] = [{} for _ in C]
             for pid, (tv, ctx) in enumerate(zip(tvals, C)):

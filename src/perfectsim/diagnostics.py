@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .backward import BackwardPlan, run_joint_tableau
-from .kernels import STAR, KernelSpec
+from .kernels import STAR, KernelSpec, _table
 from .coalescence import ExplosionGuard, MarkovAnalysis, NotFound, find_nhat
 from .streams import StreamKey
 
@@ -64,8 +64,11 @@ def _string_mass(
 
     def rec(ctx, depth, prob):
         visit(1)
+        masses = None
         if star:
-            escape = 1.0 - kernel.beta(ctx)
+            # one scan gives both beta(ctx) and the letters' masses
+            _, cum, masses = _table(kernel, ctx)
+            escape = 1.0 - (cum[-1] if cum else 0.0)
             totals[depth] += prob * max(0.0, escape)
         else:
             totals[depth] += prob
@@ -75,10 +78,10 @@ def _string_mass(
             rec((STAR,) + ctx, depth + 1, prob * escape)
         leaf = not star and depth + 1 == n
         leaves = 0
-        for g in kernel.letters_for(ctx):
+        for g in kernel.letters_for(ctx) if masses is None else masses:
             if g not in allowed:
                 continue
-            a = kernel.alpha(g, ctx)
+            a = kernel.alpha(g, ctx) if masses is None else masses[g]
             if a > 0.0:
                 if leaf:
                     totals[n] += prob * a

@@ -391,8 +391,8 @@ def _walk_alpha(closed_nbhd: dict, theta: ThetaWeights):
         return cu
 
     def alpha(g, w: Window) -> float:
-        w = canon(w)
-        if not w or g not in closed_nbhd:
+        w = canon(w) or (STAR,)  # the empty window: x_{-1} is any vertex
+        if g not in closed_nbhd:
             return 0.0
         n = len(w)
         if STAR not in w:

@@ -98,8 +98,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.alphabet is None and self.positive_letters is None:
             raise ValueError("countable-alphabet kernels need positive_letters")
-        if self.beta is None:
-            self.beta = lambda w: _scan(self, None, w)[1]
+        # a copy made with dataclasses.replace gets the original's default,
+        # bound to the original: bind it to the copy instead
+        default = KernelSpec._total
+        if self.beta is None or getattr(self.beta, "__func__", None) is default:
+            self.beta = self._total
+
+    def _total(self, w: Window) -> float:
+        return _scan(self, None, w)[1]
 
     def letters_for(self, w: Window) -> Iterable:
         if self.alphabet is not None:
@@ -177,8 +183,8 @@ def _stack(
     (symbol, total, masses of w_new by letter, letters of w_new), the
     masses complete when the symbol is STAR; the letters are
     ``positive_letters(w_new)``, or the alphabet when it is finite.  A
-    STAR total is at most u < 1, so unlike ``_table``'s full scan this
-    scan has no beta(w) <= 1 + TOL check to make.
+    letter's stacked total above 1 + TOL raises; a STAR total is at most
+    u < 1.
     """
     if kernel.alphabet is not None:
         letters = new_letters = kernel.alphabet
@@ -204,6 +210,11 @@ def _stack(
             d = 0.0
         acc += d
         if u < acc:
+            if acc > 1.0 + TOL:  # a raise, so it also runs under python -O
+                raise KernelContractViolation(
+                    f"{kernel.name}: mass {acc} stacked up to {g!r} on "
+                    f"{w_new!r} exceeds 1"
+                )
             return g, acc, new, new_letters
     return STAR, acc, new, new_letters
 

@@ -109,8 +109,8 @@ def test_countable_alphabet_enumeration_hand_values():
 
 
 def test_countable_enumeration_scans_only_the_positive_letters():
-    # the walker asks alpha only about letters positive_letters names: on
-    # imitation that is 86 calls to n = 3, each of positive mass, where a
+    # the walker asks alpha only about letters positive_letters names, once
+    # per letter and node: on imitation that is 62 calls to n = 3, where a
     # walk over all 50 truncated letters made 662
     im = build_kernel("imitation", {})
     asked = []
@@ -122,7 +122,7 @@ def test_countable_enumeration_scans_only_the_positive_letters():
     counted = dataclasses.replace(im, alpha=alpha, beta=None)
     assert exact_T0_tail(counted, 3) == exact_T0_tail(im, 3)
     assert all(g in im.positive_letters(w) for g, w in asked)
-    assert len(asked) == 86
+    assert len(asked) == 62
 
 
 def test_tail_budget_counts_visited_nodes():
@@ -317,7 +317,7 @@ def test_condition_columns_at_the_guard_edges():
 
 def test_condition_report_walks_each_column_once():
     # cyclic4's closed-class column to n = 8 (4 x 4^8 strings fit 300 000)
-    # asks alpha 52 516 times; a walk per n asked it 78 692 times
+    # asks alpha 52 500 times; a walk per n asked it 78 692 times
     cy = build_kernel("cyclic4", {})
     calls = 0
 
@@ -329,7 +329,7 @@ def test_condition_report_walks_each_column_once():
     counted = dataclasses.replace(cy, alpha=alpha, beta=None)
     rep = check_theorem_conditions(counted, N=12, budget=300_000)
     assert len(rep.rho_tilde_values) == 8
-    assert calls == 52_516
+    assert calls == 52_500
 
 
 # ------------------------------------------------------- concentration bound

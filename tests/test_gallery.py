@@ -10,6 +10,7 @@ import pytest
 
 from test_acceptance import _copy_oracle_alpha
 
+from perfectsim.backward import run_algorithm1
 from perfectsim.coalescence import prepare_coalescence, run_algorithm2
 from perfectsim.gallery import (
     GALLERY,
@@ -28,6 +29,7 @@ from perfectsim.gallery import (
     theta_list,
     theta_polynomial,
     uniform_lookback,
+    _walk_kernel,
 )
 from perfectsim.kernels import STAR, validate_kernel
 from perfectsim.streams import StreamKey
@@ -269,6 +271,84 @@ def test_known_window_fold_matches_the_path_dp():
                         assert gw.alpha(g, starred) == gw.alpha(g, tuple(w))
                     checked += 1
         assert checked > 100
+
+
+_ORACLE_THETA = (0.5, 0.3, 0.2)
+
+
+def _closed_nbhds(label):
+    """Closed neighbourhoods E(v) of the graph named as graph-walk does."""
+    kind, _, n = label.partition(":")
+    n = int(n or 1)
+    near = {
+        "cycle": lambda v, u: (u - v) % n in (0, 1, n - 1),
+        "path": lambda v, u: abs(u - v) <= 1,
+        "complete": lambda v, u: True,
+        "single": lambda v, u: True,
+    }[kind]
+    return {v: {u for u in range(n) if near(v, u)} for v in range(n)}
+
+
+def _brute_walk_alphas(closed, w):
+    """{g: infimum of p(g | x)} over the admissible pasts x matching w's
+    known letters.  Under theta = list:0.5,0.3,0.2 the law reads x_-1 and
+    x_-2 only, and on these graphs every finite path extends to an
+    infinite admissible past, so the infimum is the minimum over the paths
+    of length max(3, |w|), with the law folded in ascending lag order; 0
+    where no path matches."""
+    verts = sorted(closed)
+    n = max(3, len(w))
+    slots = [verts if j >= len(w) or w[j] is STAR else (w[j],) for j in range(n)]
+    best = dict.fromkeys(verts)
+    for x in itertools.product(*slots):
+        if any(x[j + 1] not in closed[x[j]] for j in range(n - 1)):
+            continue
+        v = x[0]
+        for g in verts:
+            p = 0.0
+            if g in closed[v]:
+                stay = (set(verts) - closed[v]) | {v} if g == v else {g}
+                p = _ORACLE_THETA[0] / len(closed[v])
+                for lag in (1, 2):
+                    if x[lag - 1] in stay:
+                        p += _ORACLE_THETA[lag]
+            if best[g] is None or p < best[g]:
+                best[g] = p
+    return {g: 0.0 if p is None else p for g, p in best.items()}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    ["cycle:4", "path:3", "path:4", "complete:3", "complete:4", "single", "loopless"],
+)
+def test_walk_alpha_is_the_brute_force_infimum(graph):
+    # every window of length <= 5 over the vertices and STAR, every letter,
+    # the empty and all-star windows included, to the bit
+    theta = theta_list(_ORACLE_THETA)
+    if graph == "loopless":  # the restricted three-letter chain's graph
+        closed = {v: {0, 1, 2} - {v} for v in range(3)}
+        kern = _walk_kernel("loopless", {}, closed, theta)
+    else:
+        closed = _closed_nbhds(graph)
+        kern = build_kernel("graph-walk", {"graph": graph, "theta": theta.label})
+    assert kern.alphabet == tuple(sorted(closed))
+    wrong = []
+    for n in range(6):
+        for w in itertools.product(kern.alphabet + (STAR,), repeat=n):
+            for g, want in _brute_walk_alphas(closed, w).items():
+                if kern.alpha(g, w) != want:
+                    wrong.append((g, w, kern.alpha(g, w), want))
+    assert wrong == []
+
+
+def test_walk_empty_window_keeps_the_mass_every_past_gives():
+    # on complete:3 each letter lies in every closed neighbourhood, so it
+    # keeps theta_0 / 3 with nothing known, and route 1 applies
+    k3 = build_kernel("graph-walk", {"graph": "complete:3", "theta": "geometric:0.5"})
+    assert [k3.alpha(g, ()) for g in range(3)] == [0.5 / 3] * 3
+    assert k3.beta(()) == k3.beta((STAR, STAR)) == 0.5
+    xs, _ = run_algorithm1(k3, 1, StreamKey(0))
+    assert set(xs) <= {0, 1, 2}
 
 
 # ------------------------------------------------------ float-exact horizon

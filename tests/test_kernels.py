@@ -53,6 +53,17 @@ def _autoreg():
     return make_autoregressive(theta_geometric(0.5), 0.3)
 
 
+def test_a_copy_totals_its_own_alpha():
+    # the default beta is bound to its kernel, so a dataclasses.replace copy
+    # with another alpha sums that alpha, not the original's
+    cy = build_kernel("cyclic4", {})
+    half = dataclasses.replace(cy, alpha=lambda g, w: 0.5 * cy.alpha(g, w))
+    assert half.beta((0,)) == _table(half, (0,))[1][-1] == 0.37499999999999994
+    assert cy.beta((0,)) == 0.7499999999999999
+    assert dataclasses.replace(half, beta=None).beta((0,)) == half.beta((0,))
+    assert dataclasses.replace(half, beta=lambda w: 0.25).beta((0,)) == 0.25
+
+
 # ---------------------------------------------------------------- windows
 
 
@@ -199,6 +210,20 @@ def test_spontaneous_runs_reject_a_total_mass_over_one(fold):
         prepare_backward(kern)
 
 
+def test_route1_steps_reject_a_stacked_mass_over_one():
+    # beta(empty) = 0.6 passes the plan, but a step stacks the 0.6 a known
+    # letter adds to each letter on it: the first letter's total is 1.2
+    over = _over_on_known_windows()
+    raised = 0
+    for r in range(200):
+        try:
+            run_algorithm1(over, 0, StreamKey(0, r))
+        except KernelContractViolation as e:
+            assert str(e).startswith("over: mass 1.2000000000000002 stacked up to 0")
+            raised += 1
+    assert raised == 69
+
+
 def test_coupled_plans_reject_a_total_mass_over_one():
     # beta(empty) = 0.6 passes, but the order-1 chain scans every known
     # window in full
@@ -221,6 +246,7 @@ _OVER_UNIT = textwrap.dedent(
         ("scan-step", lambda: run_algorithm1(scan, 0, StreamKey(0))),
         ("fold-step", lambda: run_algorithm1(fold, 0, StreamKey(0))),
         ("coupled-plan", lambda: prepare_coalescence(known)),
+        ("step", lambda: [run_algorithm1(known, 0, StreamKey(0, r)) for r in range(9)]),
     ):
         try:
             call()
@@ -247,6 +273,8 @@ def test_total_mass_check_runs_under_python_O(tmp_path):
         "scan-step tripped: over-unit: beta(()) = 1.2 exceeds 1",
         "fold-step tripped: over-unit: beta(()) = 1.2 exceeds 1",
         "coupled-plan tripped: over: beta((0,)) = 1.8 exceeds 1",
+        "step tripped: over: mass 1.2000000000000002 stacked up to 0 on (0,) "
+        "exceeds 1",
     ], out.stdout
 
 

@@ -385,26 +385,31 @@ def _batch(kern, plan_for, k, seed, reps):
 
 
 def _order2_cyclic4():
-    """cyclic4 planned at n̂ = 2, n₀ = 3: the agreement walk prunes the
-    disagreeing cells of the middle time, so runs lay out the tuples past
-    them on their own."""
+    """cyclic4 planned at n̂ = 2, n₀ = 3: the agreement walk goes on past
+    the disagreeing cells of the middle time, whose paths add nothing, to
+    link the tuples runs reach through them."""
     kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
     return kern, make_plan(kern, build_markov_analysis(kern, 2), 3)
 
 
 def _graph(plan):
-    """Every layout of the plan by identity, with its cells, agreed
-    letters, links (by identity) and masses (by value)."""
-    return {
-        ctxs: (
-            id(lay),
+    """Every layout reachable from the plan's root, by identity, with its
+    contexts, cells, agreed letters, links (by identity) and masses (by
+    value)."""
+    graph, todo = {}, [plan.root]
+    while todo:
+        lay = todo.pop()
+        if id(lay) in graph:
+            continue
+        graph[id(lay)] = (
+            lay.ctxs,
             lay.cuts.tobytes(),
             lay.agreed,
             [None if nxt is None else id(nxt) for nxt in lay.links],
             [dict(m) for m in lay.masses],
         )
-        for ctxs, lay in plan.layouts.items()
-    }
+        todo.extend(nxt for nxt in lay.links if nxt is not None)
+    return graph
 
 
 @pytest.mark.parametrize(
@@ -425,8 +430,7 @@ def _graph(plan):
 def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, plan, shared, k, reps):
     # every run follows the plan's cell graph and none writes to it: a
     # batch on one plan decides exactly what the same draws decide on a
-    # plan built afresh for each, or on a plan without layouts, whose runs
-    # lay every tuple out into dicts of their own
+    # plan built afresh for each
     def fresh_plan():
         return dataclasses.replace(
             make_plan(kern, plan.analysis, plan.n0), shared=shared
@@ -434,41 +438,34 @@ def test_draws_sharing_a_plan_match_draws_on_fresh_plans(kern, plan, shared, k, 
 
     plan = dataclasses.replace(plan or prepare_coalescence(kern), shared=shared)
     before = _graph(plan)
-    linked = {i for *_, links, _ in before.values() for i in links} - {None}
-    assert linked <= {i for i, *_ in before.values()}  # the graph is closed
-    bare = dataclasses.replace(plan, layouts={})
+    # the walk links every cell but those of the window's last time
+    for ctxs, _, _, links, _ in before.values():
+        last = len(ctxs[0]) == plan.nhat + plan.n0 - 1
+        assert all((nxt is None) == last for nxt in links)
     one = _batch(kern, lambda: plan, k, 12, reps)
     fresh = _batch(kern, fresh_plan, k, 12, reps)
-    none = _batch(kern, lambda: bare, k, 12, reps)
-    assert one == fresh == none
-    assert _graph(plan) == before and bare.layouts == {}
+    assert one == fresh
+    assert _graph(plan) == before
 
 
 def test_draws_on_a_built_plan_scan_no_phase1_table(monkeypatch):
-    # the agreement walk links every cell of the window on cyclic4, so once
-    # the plan exists a batch of draws follows links: it lays no tuple out
-    # and reads no past's letters but b's
+    # the agreement walk links every cell a run can reach, so once the plan
+    # exists a batch of draws follows links and lays no tuple out, also on
+    # the order-2 plan, where runs pass cells whose contexts disagree
     kern = build_kernel("cyclic4", {"theta": "geometric:0.4"})
     plan = prepare_coalescence(kern)
-    calls = {"_layout": 0, "_letters_at": 0}
-    for name in calls:
+    kern2, order2 = _order2_cyclic4()
+    calls = 0
 
-        def counted(*args, _f=getattr(coalescence, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
+    def counted(*args, _f=coalescence._layout):
+        nonlocal calls
+        calls += 1
+        return _f(*args)
 
-        monkeypatch.setattr(coalescence, name, counted)
+    monkeypatch.setattr(coalescence, "_layout", counted)
     _batch(kern, lambda: plan, 0, 1, 40)
-    assert calls == {"_layout": 0, "_letters_at": 0}
-    # a plan without layouts lays out the root at least
-    _batch(kern, lambda: dataclasses.replace(plan, layouts={}), 0, 1, 1)
-    assert calls["_layout"] > 0
-    # past a pruned cell a run reads every past's letters to lay out the
-    # next tuple itself
-    kern2, pruned = _order2_cyclic4()
-    calls.update(dict.fromkeys(calls, 0))
-    _batch(kern2, lambda: pruned, 2, 12, 30)
-    assert calls["_layout"] > 0 and calls["_letters_at"] > 0
+    _batch(kern2, lambda: order2, 2, 12, 30)
+    assert calls == 0
 
 
 def _alpha_calls(kern, shared, k, reps):
@@ -574,17 +571,25 @@ def _outcome(fn, kern, k, key, plan, max_rounds):
     return (xs, rec.T, rec.rounds_used, rec.uniforms_consumed), tr
 
 
+_LIST = "list:0.5,0.3,0.2"
+
+
 @pytest.mark.parametrize(
-    "name,params,ks,seeds,max_rounds",
+    "name,params,ks,seeds,max_rounds,order",
     [
-        ("graph-walk", {"graph": "complete:3"}, (0, 1, 2, 5), range(8), 10**4),
-        ("graph-walk", {"graph": "complete:4"}, (0, 1), range(4), 10**4),
-        ("cyclic4", {}, (0, 1), range(2), 10**4),
-        ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6), 10**4),
+        ("graph-walk", {"graph": "complete:3"}, (0, 1, 2, 5), range(8), 10**4, None),
+        ("graph-walk", {"graph": "complete:4"}, (0, 1), range(4), 10**4, None),
+        ("cyclic4", {}, (0, 1), range(2), 10**4, None),
+        ("cyclic4", {"theta": "geometric:0.1"}, (0, 1, 5), range(6), 10**4, None),
         # no exact_horizon: phase 2 reads every context back to the oldest window
-        ("cyclic4", {"theta": "polynomial:0.7"}, (0, 2), range(3), 400),
+        ("cyclic4", {"theta": "polynomial:0.7"}, (0, 2), range(3), 400, None),
         # exact_horizon 1: every context is cut at its newest known letter
-        ("three-letter-alternating", {}, (0, 1, 5), range(6), 10**4),
+        ("three-letter-alternating", {}, (0, 1, 5), range(6), 10**4, None),
+        # (n̂, n₀) plans above the smallest order, shared coupling only: their
+        # runs pass cells where the contexts disagree at the n̂ newest times
+        ("cyclic4", {"theta": "geometric:0.4"}, (0, 1), range(3), 10**4, (2, 3)),
+        ("graph-walk", {"graph": "path:3", "theta": _LIST}, (0, 1), range(3), 10**4, (2, 3)),
+        ("graph-walk", {"graph": "path:5", "theta": _LIST}, (0, 1), range(3), 10**4, (2, 4)),
     ],
     ids=[
         "complete3",
@@ -593,14 +598,23 @@ def _outcome(fn, kern, k, key, plan, max_rounds):
         "cycle4-past-horizon",
         "cycle4-uncut",
         "three-letter",
+        "cycle4-order2",
+        "path3-order2",
+        "path5-order2",
     ],
 )
 def test_event_driven_sampler_matches_the_direct_sweep(
-    name, params, ks, seeds, max_rounds
+    name, params, ks, seeds, max_rounds, order
 ):
     kern = build_kernel(name, params)
-    for shared, k, seed in itertools.product((True, False), ks, seeds):
-        plan = dataclasses.replace(prepare_coalescence(kern), shared=shared)
+    if order is None:
+        base, couplings = prepare_coalescence(kern), (True, False)
+    else:
+        base = make_plan(kern, build_markov_analysis(kern, order[0]), order[1])
+        couplings = (True,)
+        assert base.shared
+    for shared, k, seed in itertools.product(couplings, ks, seeds):
+        plan = dataclasses.replace(base, shared=shared)
         key = StreamKey(seed=seed, replication=k)
         new = _outcome(run_algorithm2, kern, k, key, plan, max_rounds)
         ref = _outcome(run_algorithm2_ref, kern, k, key, plan, max_rounds)
